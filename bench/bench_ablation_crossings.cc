@@ -19,7 +19,7 @@ int main() {
     reset_costs();
     sim::costs().fuse_crossing = crossing;
     BenchRun run;
-    run.fs = "xv6_fuse";
+    run.bed.fs = "xv6_fuse";
     run.nthreads = 1;
     run.horizon = 30 * sim::kSecond;
     run.max_ops = 2'000;

@@ -62,8 +62,8 @@ class StatFiles final : public sim::Workload {
 
 double stat_ops(const std::string& fs, const std::string& opts) {
   BenchRun run;
-  run.fs = fs;
-  run.mount_opts = opts;
+  run.bed.fs = fs;
+  run.bed.mount_opts = opts;
   run.nthreads = 1;
   run.horizon = 10 * sim::kSecond;
   run.max_ops = 200'000;

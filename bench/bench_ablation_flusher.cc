@@ -46,11 +46,11 @@ int main() {
       double mbps[2] = {0, 0};
       for (int m = 0; m < 2; ++m) {
         BenchRun run;
-        run.fs = fsname;
+        run.bed.fs = fsname;
         run.nthreads = 1;
         run.max_ops = cfg.max_ops;
         run.horizon = 20 * sim::kSecond;
-        run.mount_opts = modes[m].opts;
+        run.bed.mount_opts = modes[m].opts;
         wl::SharedFile file;
         auto stats = run_bench(run, [&](wl::TestBed& bed, int tid) {
           return std::make_unique<wl::WriteMicro>(bed, file, cfg.sequential,

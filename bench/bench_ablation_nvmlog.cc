@@ -23,7 +23,7 @@ namespace {
 
 double varmail_ops(const std::string& fs, int nthreads) {
   BenchRun run;
-  run.fs = fs;
+  run.bed.fs = fs;
   run.nthreads = nthreads;
   run.horizon = 30 * sim::kSecond;
   run.max_ops = 20'000;
@@ -69,7 +69,7 @@ class AppendFsync final : public sim::Workload {
 
 double append_fsync_ops(const std::string& fs, std::size_t iosize) {
   BenchRun run;
-  run.fs = fs;
+  run.bed.fs = fs;
   run.nthreads = 1;
   run.horizon = 20 * sim::kSecond;
   run.max_ops = 30'000;

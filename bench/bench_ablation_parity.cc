@@ -143,11 +143,11 @@ double rnd_read(blk::BlockDevice& vol) {
 /// Buffered sequential writes through the mounted Bento deployment.
 double fs_seq_write(int parity_devices) {
   BenchRun run;
-  run.fs = "xv6_bento";
+  run.bed.fs = "xv6_bento";
   run.nthreads = 1;
   run.max_ops = 1'000;
   run.horizon = 20 * sim::kSecond;
-  run.parity_devices = parity_devices;
+  run.bed.mount_opts = "parity=" + std::to_string(parity_devices);
   wl::SharedFile file;
   auto stats = run_bench(run, [&](wl::TestBed& bed, int tid) {
     return std::make_unique<wl::WriteMicro>(bed, file, /*sequential=*/true,

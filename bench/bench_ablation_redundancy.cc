@@ -113,11 +113,11 @@ double raw_seq_write(std::size_t nmirrors) {
 /// Buffered sequential writes through the mounted Bento deployment.
 double fs_seq_write(int nmirrors) {
   BenchRun run;
-  run.fs = "xv6_bento";
+  run.bed.fs = "xv6_bento";
   run.nthreads = 1;
   run.max_ops = 1'000;
   run.horizon = 20 * sim::kSecond;
-  run.mirror_devices = nmirrors;
+  run.bed.mount_opts = "mirror=" + std::to_string(nmirrors);
   wl::SharedFile file;
   auto stats = run_bench(run, [&](wl::TestBed& bed, int tid) {
     return std::make_unique<wl::WriteMicro>(bed, file, /*sequential=*/true,

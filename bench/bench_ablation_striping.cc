@@ -114,12 +114,12 @@ double raw_rnd_read(std::size_t ndev) {
 /// Buffered sequential writes through the mounted Bento deployment.
 sim::RunStats fs_seq_write(int ndev) {
   BenchRun run;
-  run.fs = "xv6_bento";
+  run.bed.fs = "xv6_bento";
   run.nthreads = 1;
   run.max_ops = 1'000;
   run.horizon = 20 * sim::kSecond;
-  run.stripe_devices = ndev;
-  run.stripe_chunk_blocks = kChunkBlocks;
+  run.bed.mount_opts = "stripe=" + std::to_string(ndev) +
+                       ",chunk=" + std::to_string(kChunkBlocks);
   wl::SharedFile file;
   return run_bench(run, [&](wl::TestBed& bed, int tid) {
     return std::make_unique<wl::WriteMicro>(bed, file, /*sequential=*/true,

@@ -12,7 +12,7 @@ namespace {
 
 double run_create(const char* fs) {
   BenchRun run;
-  run.fs = fs;
+  run.bed.fs = fs;
   run.nthreads = 1;
   run.horizon = 30 * sim::kSecond;
   run.max_ops = 3'000;

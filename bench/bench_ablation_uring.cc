@@ -23,15 +23,15 @@ namespace {
 double create_ops(const std::string& fs, const std::string& opts,
                   bool plp_ssd = false) {
   BenchRun run;
-  run.fs = fs;
-  run.mount_opts = opts;
+  run.bed.fs = fs;
+  run.bed.mount_opts = opts;
   run.nthreads = 1;
   run.horizon = 30 * sim::kSecond;
   run.max_ops = 3'000;
   if (plp_ssd) {
     // Enterprise SSD with power-loss protection: FLUSH is a no-op.
-    run.device.flush_base = 0;
-    run.device.destage_per_block = 0;
+    run.bed.device.flush_base = 0;
+    run.bed.device.destage_per_block = 0;
   }
   return run_bench(run, [&](wl::TestBed& bed, int tid) {
            return std::make_unique<wl::CreateFiles>(bed, 16384, 100, tid, 7);
@@ -41,8 +41,8 @@ double create_ops(const std::string& fs, const std::string& opts,
 
 double write_mbps(const std::string& fs, const std::string& opts) {
   BenchRun run;
-  run.fs = fs;
-  run.mount_opts = opts;
+  run.bed.fs = fs;
+  run.bed.mount_opts = opts;
   run.nthreads = 1;
   run.horizon = 20 * sim::kSecond;
   run.max_ops = 2'000;

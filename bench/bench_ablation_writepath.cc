@@ -1,14 +1,12 @@
-// Ablation: the journaled write path — pipelined commits, cross-op group
-// commit, and request-queue plugging (ISSUE 5).
+// Ablation: the journaled write path — pipelined commits and cross-op
+// group commit.
 //
 // Sweeps the buffered sequential-write workload through the full
 // xv6-on-Bento stack on 1/2/4/8-member striped volumes, toggling each
 // write-path mechanism via mount options:
-//   full        — pipeline + group commit + plug (the defaults)
+//   full        — pipeline + group commit (the defaults)
 //   nopipeline  — commits redeem their tickets synchronously
 //   nogroup     — max_log_batch=1: one commit per closed operation
-//   noplug      — flusher drains and relaxed-mode commits skip the
-//                 request plug (QD tickets instead of one merged pass)
 // plus a C-kernel (xv6_vfs) row showing the per-page ->writepage path's
 // log_commits with and without group commit.
 //
@@ -42,9 +40,8 @@ struct FsRow {
 FsRow fs_seq_write(const std::string& fs, int ndev, const char* opts) {
   wl::BedOptions bopts;
   bopts.fs = fs;
-  bopts.mount_opts = opts;
-  bopts.stripe_devices = ndev;
-  bopts.stripe_chunk_blocks = kChunkBlocks;
+  bopts.mount_opts = "stripe=" + std::to_string(ndev) +
+                     ",chunk=" + std::to_string(kChunkBlocks) + "," + opts;
   wl::TestBed bed(bopts);
   wl::SharedFile file;
   std::vector<std::unique_ptr<sim::Workload>> jobs;
@@ -72,14 +69,13 @@ int main() {
   reset_costs();
   const int devs[] = {1, 2, 4, 8};
   const std::pair<const char*, const char*> configs[] = {
-      {"Bento-seqwrite", ""},            // full: pipeline + group + plug
+      {"Bento-seqwrite", ""},            // full: pipeline + group commit
       {"Bento-nopipeline", "nopipeline"},
       {"Bento-nogroup", "nogroup"},
-      {"Bento-noplug", "noplug"},
   };
 
-  std::printf("Ablation: journaled write path — pipelined commits, group "
-              "commit, plugging (MBps)\n\n");
+  std::printf("Ablation: journaled write path — pipelined commits and "
+              "group commit (MBps)\n\n");
   std::printf("%-18s %8s %8s %8s %8s %9s\n", "config", "1dev", "2dev", "4dev",
               "8dev", "8/1 scale");
 

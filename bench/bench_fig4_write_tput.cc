@@ -42,7 +42,7 @@ int main() {
       std::printf("%-10s", label.c_str());
       for (const auto& cfg : configs) {
         BenchRun run;
-        run.fs = fsname;
+        run.bed.fs = fsname;
         run.nthreads = cfg.threads;
         run.max_ops = size.max_ops;
         run.horizon = 20 * sim::kSecond;

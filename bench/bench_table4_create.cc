@@ -20,11 +20,11 @@ int main() {
     std::printf("%-10s", label.c_str());
     for (const int threads : {1, 32}) {
       BenchRun run;
-      run.fs = fsname;
+      run.bed.fs = fsname;
       run.nthreads = threads;
       run.horizon = 30 * sim::kSecond;
       run.max_ops = 60'000;
-      run.device_blocks = 524'288;  // 2 GiB: the created set must fit
+      run.bed.device_blocks = 524'288;  // 2 GiB: the created set must fit
       auto stats = run_bench(run, [&](wl::TestBed& bed, int tid) {
         return std::make_unique<wl::CreateFiles>(bed, /*filesize=*/16384,
                                                  /*dirwidth=*/100, tid, 7);

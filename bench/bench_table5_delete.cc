@@ -18,7 +18,7 @@ int main() {
     std::printf("%-10s", label.c_str());
     for (const int threads : {1, 32}) {
       BenchRun run;
-      run.fs = fsname;
+      run.bed.fs = fsname;
       run.nthreads = threads;
       run.horizon = 8 * sim::kSecond;
       const std::uint64_t nfiles = 60'000;

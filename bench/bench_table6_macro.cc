@@ -35,7 +35,7 @@ int main() {
     // ---- varmail: 16 threads, fsync-heavy mail personality ----
     {
       BenchRun run;
-      run.fs = fsname;
+      run.bed.fs = fsname;
       run.nthreads = 16;
       run.horizon = 30 * sim::kSecond;
       run.max_ops = 60'000;
@@ -51,11 +51,11 @@ int main() {
     // ---- fileserver: 50 threads ----
     {
       BenchRun run;
-      run.fs = fsname;
+      run.bed.fs = fsname;
       run.nthreads = 50;
       run.horizon = 30 * sim::kSecond;
       run.max_ops = 6'000;
-      run.device_blocks = 524'288;  // 2 GiB
+      run.bed.device_blocks = 524'288;  // 2 GiB
       auto set = std::make_shared<wl::ServerSet>();
       auto stats = run_bench(run, [&, set](wl::TestBed& bed, int tid) {
         return std::make_unique<wl::Fileserver>(bed, *set, tid, 13);
@@ -68,10 +68,10 @@ int main() {
     // ---- untar (single thread, runs to completion) ----
     {
       BenchRun run;
-      run.fs = fsname;
+      run.bed.fs = fsname;
       run.nthreads = 1;
       run.horizon = 100'000 * sim::kSecond;  // completion-bound
-      run.device_blocks = 524'288;           // 2 GiB
+      run.bed.device_blocks = 524'288;           // 2 GiB
       auto stats = run_bench(run, [&](wl::TestBed& bed, int) {
         return std::make_unique<wl::Untar>(bed, manifest);
       });

@@ -33,20 +33,12 @@ using WorkloadFactory =
     std::function<std::unique_ptr<sim::Workload>(wl::TestBed&, int tid)>;
 
 struct BenchRun {
-  std::string fs;           // registered fs name
+  /// The deployment: fs, device size and latency model, mount options
+  /// (volume geometry included, e.g. "stripe=4,chunk=16").
+  wl::BedOptions bed;
   int nthreads = 1;
   sim::Nanos horizon = 60 * sim::kSecond;
   std::uint64_t max_ops = 0;
-  std::uint64_t device_blocks = 262'144;  // 1 GiB
-  std::string mount_opts;
-  blk::DeviceParams device;  // latency model (nblocks overridden)
-  int stripe_devices = 1;    // >1: mount on a striped volume
-  std::uint64_t stripe_chunk_blocks = 16;
-  int mirror_devices = 1;    // >1: mirror each member (RAID1 / RAID10)
-  blk::MirrorReadPolicy mirror_policy = blk::MirrorReadPolicy::RoundRobin;
-  int parity_devices = 1;    // >=2: RAID5 data columns (RAID50 if striped)
-  std::uint64_t parity_chunk_blocks = 16;
-  int spare_devices = 0;
   // ---- observability dumps (written while the bed is still mounted) ----
   std::string stats_path;  // non-empty: Kernel::dump_stats() JSON snapshot
   std::string trace_path;  // non-empty: trace ring JSONL (needs "trace=N")
@@ -54,19 +46,7 @@ struct BenchRun {
 
 inline sim::RunStats run_bench(const BenchRun& cfg,
                                const WorkloadFactory& factory) {
-  wl::BedOptions opts;
-  opts.fs = cfg.fs;
-  opts.device_blocks = cfg.device_blocks;
-  opts.mount_opts = cfg.mount_opts;
-  opts.device = cfg.device;
-  opts.stripe_devices = cfg.stripe_devices;
-  opts.stripe_chunk_blocks = cfg.stripe_chunk_blocks;
-  opts.mirror_devices = cfg.mirror_devices;
-  opts.mirror_policy = cfg.mirror_policy;
-  opts.parity_devices = cfg.parity_devices;
-  opts.parity_chunk_blocks = cfg.parity_chunk_blocks;
-  opts.spare_devices = cfg.spare_devices;
-  wl::TestBed bed(opts);
+  wl::TestBed bed(cfg.bed);
   std::vector<std::unique_ptr<sim::Workload>> jobs;
   jobs.reserve(static_cast<std::size_t>(cfg.nthreads));
   for (int t = 0; t < cfg.nthreads; ++t) jobs.push_back(factory(bed, t));
@@ -140,14 +120,20 @@ class JsonReport {
   void add_config(std::string cname, const BenchRun& run) {
     Config c;
     c.name = std::move(cname);
-    c.fs = run.fs;
-    c.mount_opts = run.mount_opts;
+    c.fs = run.bed.fs;
+    c.mount_opts = run.bed.mount_opts;
     c.nthreads = run.nthreads;
-    c.device_blocks = run.device_blocks;
-    c.stripe_devices = run.stripe_devices;
-    c.mirror_devices = run.mirror_devices;
-    c.parity_devices = run.parity_devices;
-    c.spare_devices = run.spare_devices;
+    c.device_blocks = run.bed.device_blocks;
+    auto mo = kern::MountOptions::parse(run.bed.mount_opts);
+    if (mo.ok()) {
+      const kern::MountOptions& g = mo.value();
+      c.stripe_devices = static_cast<int>(g.stripe.ndevices);
+      c.mirror_devices = static_cast<int>(g.mirror.nmirrors);
+      if (g.parity_volume()) {
+        c.parity_devices = static_cast<int>(g.parity.ndata);
+      }
+      c.spare_devices = static_cast<int>(g.parity.nspares);
+    }
     configs_.push_back(std::move(c));
   }
 

@@ -3,6 +3,7 @@
 #include <cassert>
 
 #include "kernel/flusher.h"
+#include "kernel/mount_options.h"
 #include "sim/cost_model.h"
 #include "sim/thread.h"
 
@@ -398,6 +399,8 @@ Err BentoModule::writepages(kern::Inode& inode,
 
 Result<kern::SuperBlock*> BentoFsType::mount(blk::BlockDevice& dev,
                                              std::string_view opts) {
+  auto mo = kern::MountOptions::parse(opts);
+  if (!mo.ok()) return mo.error();
   auto sb = std::make_unique<kern::SuperBlock>(dev, /*buffer_cache=*/16384);
   sb->fs_name = name_;
   auto module = std::make_unique<BentoModule>(*sb, factory_());
@@ -414,7 +417,7 @@ Result<kern::SuperBlock*> BentoFsType::mount(blk::BlockDevice& dev,
   // "-o noflusher" keeps the old writer-context behaviour (ablations).
   kern::FlusherParams fp;
   fp.drain_buffers = true;
-  kern::maybe_attach_flusher(*sb, opts, fp);
+  kern::maybe_attach_flusher(*sb, mo.value(), fp);
   // Join the unified stats snapshot; fs() resolves at dump time, so
   // online upgrades report the live instance's stats.
   BentoModule* mod = module.get();

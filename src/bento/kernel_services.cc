@@ -166,12 +166,6 @@ void KernelBlockBackend::bh_pin_journal(std::uint64_t blockno, bool pin) {
   cache_->pin_journal(blockno, pin);
 }
 
-void KernelBlockBackend::io_plug() { cache_->plug(); }
-
-WriteTicket KernelBlockBackend::io_unplug() {
-  return WriteTicket{cache_->unplug()};
-}
-
 void KernelBlockBackend::bh_release(void* impl) {
   cache_->brelse(static_cast<kern::BufferHead*>(impl));
 }

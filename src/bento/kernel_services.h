@@ -125,11 +125,6 @@ class BlockBackend {
     (void)blockno;
     (void)pin;
   }
-  /// Request plugging (blk_plug): accumulate async batch writes and
-  /// dispatch them as one merged pass at unplug. Defaults are no-ops.
-  virtual void io_plug() {}
-  virtual WriteTicket io_unplug() { return WriteTicket{}; }
-
   /// For subclasses constructing handles.
   static BufferHeadHandle make_handle(BlockBackend& owner, void* impl,
                                       std::uint64_t blockno);
@@ -249,10 +244,6 @@ class SuperBlockCap {
   void pin_journal(std::uint64_t blockno, bool pin = true) {
     backend_->bh_pin_journal(blockno, pin);
   }
-  /// Request plugging: batch several sync_batch_async submissions into
-  /// one merged elevator pass (closed by unplug; see blockdev/device.h).
-  void plug() { backend_->io_plug(); }
-  WriteTicket unplug() { return backend_->io_unplug(); }
   /// Stripe geometry hint for write clustering (0 = no striping).
   [[nodiscard]] std::uint64_t stripe_width() const {
     return backend_->stripe_width();
@@ -310,8 +301,6 @@ class KernelBlockBackend final : public BlockBackend {
   void bh_sync_wait(const WriteTicket& t) override;
   void bh_release(void* impl) override;
   void bh_pin_journal(std::uint64_t blockno, bool pin) override;
-  void io_plug() override;
-  WriteTicket io_unplug() override;
 
  private:
   kern::BufferCache* cache_;

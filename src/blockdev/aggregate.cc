@@ -42,8 +42,7 @@ AggregateDevice::ChildTickets AggregateDevice::route_batch(
   astats_.batches += 1;
   astats_.bios += bios.size();
   // Logical bios queue at the volume: Q lands on the volume's trace slot
-  // (members trace their fragments separately). Idempotent for bios the
-  // plug layer already stamped.
+  // (members trace their fragments separately).
   for (Bio* b : bios) note_bio_queued(*b);
 
   // Mirror the single-device queue's crash-count order: writes are counted
@@ -93,21 +92,21 @@ void AggregateDevice::mark_volume_dead() {
   for (auto& c : children_) c->power_off();
 }
 
-sim::Nanos AggregateDevice::submit_impl(std::span<Bio* const> bios) {
+sim::Nanos AggregateDevice::submit(std::span<Bio> bios) {
   if (bios.empty()) return sim::now();
   pokes();
   sim::Nanos last_done = sim::now();
-  ChildTickets tickets = route_batch(bios, last_done);
+  ChildTickets tickets = route_batch(bio_ptrs(bios), last_done);
   for (auto& [c, t] : tickets) children_[c]->wait(t);
   sim::current().wait_until(last_done);
   return last_done;
 }
 
-Ticket AggregateDevice::submit_async_impl(std::span<Bio* const> bios) {
+Ticket AggregateDevice::submit_async(std::span<Bio> bios) {
   if (bios.empty()) return Ticket{};
   pokes();
   sim::Nanos last_done = sim::now();
-  ChildTickets tickets = route_batch(bios, last_done);
+  ChildTickets tickets = route_batch(bio_ptrs(bios), last_done);
   astats_.async_batches += 1;
   const std::uint64_t id = next_ticket_++;
   outstanding_.emplace(id, std::move(tickets));
@@ -117,11 +116,11 @@ Ticket AggregateDevice::submit_async_impl(std::span<Bio* const> bios) {
   // A logical bio that still carries io_error after routing (member
   // failure the redundancy could not absorb) fails the ticket, same as a
   // plain queue's.
-  for (const Bio* b : bios) t.failed |= b->io_error;
+  for (const Bio& b : bios) t.failed |= b.io_error;
   return t;
 }
 
-sim::Nanos AggregateDevice::wait_impl(const Ticket& t) {
+sim::Nanos AggregateDevice::wait(const Ticket& t) {
   if (!t.valid()) return sim::now();
   auto it = outstanding_.find(t.id);
   if (it != outstanding_.end()) {
@@ -135,7 +134,7 @@ sim::Nanos AggregateDevice::wait_impl(const Ticket& t) {
   return t.done;
 }
 
-sim::Nanos AggregateDevice::flush_nowait_impl() {
+sim::Nanos AggregateDevice::flush_nowait() {
   pokes();
   // FLUSH every serving member in parallel: each barriers its own
   // channels; the volume's flush completes when the slowest member

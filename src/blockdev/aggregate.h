@@ -70,6 +70,13 @@ class AggregateDevice : public BlockDevice {
  public:
   ~AggregateDevice() override;
 
+  // ---- submission skeleton: route, then fan the tickets back in ----
+  using BlockDevice::submit;
+  sim::Nanos submit(std::span<Bio> bios) override;
+  Ticket submit_async(std::span<Bio> bios) override;
+  sim::Nanos wait(const Ticket& t) override;
+  sim::Nanos flush_nowait() override;
+
   // ---- member introspection ----
   [[nodiscard]] std::size_t members() const { return children_.size(); }
   [[nodiscard]] BlockDevice& member(std::size_t i) { return *children_[i]; }
@@ -172,13 +179,6 @@ class AggregateDevice : public BlockDevice {
                       std::vector<std::unique_ptr<BlockDevice>> spares = {},
                       std::size_t rebuild_batch = 64,
                       sim::Nanos rebuild_lead = 2 * sim::kMillisecond);
-
-  // ---- submission skeleton (BlockDevice impl hooks; the public entry
-  // points add the plug layer) ----
-  sim::Nanos submit_impl(std::span<Bio* const> bios) override;
-  Ticket submit_async_impl(std::span<Bio* const> bios) override;
-  sim::Nanos wait_impl(const Ticket& t) override;
-  sim::Nanos flush_nowait_impl() override;
 
   /// Policy hook: submit one batch, already classified by the kill model.
   /// `writes` are the surviving write bios in stable first-block order;

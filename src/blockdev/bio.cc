@@ -123,8 +123,8 @@ sim::Nanos RequestQueue::start_batch(std::span<Bio* const> bios) {
   std::vector<Bio*> reads, writes;
   for (Bio* b : bios) {
     assert(!b->vecs.empty() && "submitting an empty bio");
-    // Idempotent: bios that already queued upstream (plug accumulation,
-    // volume routing) keep their original queue time and trace id.
+    // Idempotent: bios that already queued upstream (volume routing) keep
+    // their original queue time and trace id.
     dev_->note_bio_queued(*b);
     (b->op == BioOp::Read ? reads : writes).push_back(b);
   }
@@ -140,31 +140,21 @@ sim::Nanos RequestQueue::start_batch(std::span<Bio* const> bios) {
 }
 
 sim::Nanos RequestQueue::submit(std::span<Bio> bios) {
-  const std::vector<Bio*> ptrs = bio_ptrs(bios);
-  return submit(std::span<Bio* const>(ptrs));
-}
-
-sim::Nanos RequestQueue::submit(std::span<Bio* const> bios) {
   if (bios.empty()) return sim::now();
-  const sim::Nanos last_done = start_batch(bios);
+  const sim::Nanos last_done = start_batch(bio_ptrs(bios));
   sim::current().wait_until(last_done);
   return last_done;
 }
 
 Ticket RequestQueue::submit_async(std::span<Bio> bios) {
-  const std::vector<Bio*> ptrs = bio_ptrs(bios);
-  return submit_async(std::span<Bio* const>(ptrs));
-}
-
-Ticket RequestQueue::submit_async(std::span<Bio* const> bios) {
   if (bios.empty()) return Ticket{};
-  const sim::Nanos last_done = start_batch(bios);
+  const sim::Nanos last_done = start_batch(bio_ptrs(bios));
   stats_.async_batches += 1;
   outstanding_.insert(next_ticket_);
   stats_.max_inflight = std::max<std::uint64_t>(stats_.max_inflight,
                                                 outstanding_.size());
   Ticket t{last_done, next_ticket_++};
-  for (const Bio* b : bios) t.failed |= b->io_error;
+  for (const Bio& b : bios) t.failed |= b.io_error;
   return t;
 }
 

@@ -66,7 +66,7 @@ void BlockDevice::trace_event(TraceEv ev, std::uint64_t id,
 }
 
 void BlockDevice::note_bio_queued(Bio& b) {
-  if (b.queued_at >= 0) return;  // already queued upstream (volume / plug)
+  if (b.queued_at >= 0) return;  // already queued upstream (a volume)
   b.queued_at = sim::now();
   if (!tracer_) return;
   if (b.trace_id == 0) b.trace_id = tracer_->next_id();
@@ -247,112 +247,6 @@ sim::Nanos BlockDevice::do_request(std::span<Bio* const> bios,
   return done;
 }
 
-// ---- public submission entry points (plug-aware, non-virtual) ----
-
-namespace {
-/// Synthetic ticket ids for plugged submissions live in their own id
-/// space so the public wait() can tell them apart from impl tickets.
-constexpr std::uint64_t kPlugTicketBit = 1ULL << 63;
-}  // namespace
-
-sim::Nanos BlockDevice::submit(std::span<Bio> bios) {
-  if (bios.empty()) return sim::now();
-  // A synchronous submission is a barrier: anything plugged must reach
-  // the device first (and in particular before any read that could
-  // observe it), exactly like a blocking op flushing a blk_plug.
-  flush_plug();
-  const std::vector<Bio*> ptrs = bio_ptrs(bios);
-  return submit_impl(ptrs);
-}
-
-Ticket BlockDevice::submit_async(std::span<Bio> bios) {
-  if (bios.empty()) return Ticket{};
-  if (plug_depth_ > 0) {
-    // Accumulation is where the bio enters "the queue": stamp Q now so
-    // the wait histograms charge plug residency to queue wait.
-    for (Bio& b : bios) note_bio_queued(b);
-    for (Bio& b : bios) plug_list_.push_back(&b);
-    plug_stats_.plugged_batches += 1;
-    plug_stats_.plugged_bios += bios.size();
-    const std::uint64_t id = kPlugTicketBit | next_plug_id_++;
-    plug_pending_.push_back(id);
-    return Ticket{0, id};
-  }
-  const std::vector<Bio*> ptrs = bio_ptrs(bios);
-  return submit_async_impl(ptrs);
-}
-
-sim::Nanos BlockDevice::wait(const Ticket& t) {
-  if (!t.valid()) return sim::now();
-  if ((t.id & kPlugTicketBit) != 0) {
-    // A plugged ticket: force the accumulated batch out if it has not
-    // been dispatched yet, then redeem the real ticket it resolved to.
-    // Several plugged tickets share one real ticket; redundant waits on
-    // it are harmless by the queue's contract.
-    if (std::find(plug_pending_.begin(), plug_pending_.end(), t.id) !=
-        plug_pending_.end()) {
-      flush_plug();
-    }
-    auto it = plug_resolved_.find(t.id);
-    if (it == plug_resolved_.end()) return sim::now();
-    const Ticket real = it->second;
-    plug_resolved_.erase(it);
-    return real.valid() ? wait_impl(real) : sim::now();
-  }
-  return wait_impl(t);
-}
-
-void BlockDevice::plug() {
-  plug_depth_ += 1;
-  if (plug_depth_ == 1) {
-    plug_stats_.plugs += 1;
-    trace_event(TraceEv::Plug, 0, 0, 0, TraceOp::Write);
-    // Resolved synthetic tickets from EARLIER windows that were never
-    // waited become no-ops now instead of accumulating forever. This is
-    // safe because every consumer that defers its waits past a window
-    // also holds that window's REAL unplug ticket (the journal pipeline
-    // does; the flusher waits inside its own window), so completion
-    // tracking never depends on a stale synthetic id.
-    plug_resolved_.clear();
-  }
-}
-
-Ticket BlockDevice::unplug() {
-  assert(plug_depth_ > 0 && "unplug without a matching plug");
-  plug_depth_ -= 1;
-  if (plug_depth_ > 0) return Ticket{};  // nested: outermost dispatches
-  trace_event(TraceEv::Unplug, 0, 0,
-              static_cast<std::uint32_t>(plug_list_.size()), TraceOp::Write);
-  if (plug_list_.empty() && plug_pending_.empty()) return Ticket{};
-  const Ticket real =
-      plug_list_.empty() ? Ticket{}
-                         : submit_async_impl(std::span<Bio* const>(plug_list_));
-  for (const std::uint64_t id : plug_pending_) plug_resolved_[id] = real;
-  plug_list_.clear();
-  plug_pending_.clear();
-  return real;
-}
-
-void BlockDevice::flush_plug() {
-  if (plug_list_.empty() && plug_pending_.empty()) return;
-  if (plug_depth_ > 0) {
-    plug_stats_.forced_flushes += 1;
-    // An early flush is an unplug event too (blktrace's "unplug due to
-    // sync"); the window itself stays open.
-    trace_event(TraceEv::Unplug, 0, 0,
-                static_cast<std::uint32_t>(plug_list_.size()),
-                TraceOp::Write);
-  }
-  const Ticket real =
-      plug_list_.empty() ? Ticket{}
-                         : submit_async_impl(std::span<Bio* const>(plug_list_));
-  for (const std::uint64_t id : plug_pending_) plug_resolved_[id] = real;
-  plug_list_.clear();
-  plug_pending_.clear();
-  // The flushed batch is left in flight (its tickets are still
-  // redeemable); the plug window itself stays open for further batches.
-}
-
 void BlockDevice::read(std::uint64_t blockno, std::span<std::byte> out) {
   assert(out.size() >= kBlockSize);
   Bio bio = Bio::single_read(blockno, out);
@@ -368,13 +262,6 @@ void BlockDevice::write(std::uint64_t blockno, std::span<const std::byte> in) {
 void BlockDevice::flush() { sim::current().wait_until(flush_nowait()); }
 
 sim::Nanos BlockDevice::flush_nowait() {
-  // FLUSH is a barrier over everything submitted, including anything a
-  // still-open plug has accumulated.
-  flush_plug();
-  return flush_nowait_impl();
-}
-
-sim::Nanos BlockDevice::flush_nowait_impl() {
   // FLUSH is a barrier: it starts after all in-flight requests and blocks
   // the whole device until the cache is destaged. State effects land here
   // (at submission); the caller decides when to observe the completion.

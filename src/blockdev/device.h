@@ -89,14 +89,6 @@ struct DeviceStats {
   sim::LatencyHistogram flush_lat;   // FLUSH submit→complete (incl. barrier)
 };
 
-/// Accounting for the blk_plug-style submission plug (see BlockDevice::plug).
-struct PlugStats {
-  std::uint64_t plugs = 0;          // plug() .. unplug() windows opened
-  std::uint64_t plugged_batches = 0;  // submit_async calls absorbed by a plug
-  std::uint64_t plugged_bios = 0;     // bios accumulated across those calls
-  std::uint64_t forced_flushes = 0;   // plug flushed early by a sync op
-};
-
 class BlockDevice {
  public:
   explicit BlockDevice(DeviceParams params);
@@ -144,39 +136,24 @@ class BlockDevice {
   /// fan out to one queue per member device.
   [[nodiscard]] RequestQueue& queue() { return queue_; }
 
-  /// Batched submission (timed). An open plug is flushed first (a
-  /// synchronous submission is a barrier, like a blocking op flushing a
-  /// blk_plug), then the batch dispatches through the device-specific
-  /// path (submit_impl).
-  sim::Nanos submit(std::span<Bio> bios);
+  // ---- submission (volumes override these four) ----
+  /// Batched submission (timed): the batch goes through the request
+  /// queue (a volume routes it to its members) and the caller waits for
+  /// all of it.
+  virtual sim::Nanos submit(std::span<Bio> bios) {
+    return queue_.submit(bios);
+  }
 
   /// One-bio convenience over the batched submission.
   sim::Nanos submit(Bio& bio) { return submit(std::span<Bio>(&bio, 1)); }
 
-  /// Non-barrier batched submission (QD>1). While a plug is open the
-  /// batch is only ACCUMULATED: dispatch — and with it media effects,
-  /// crash-model write counting, done_at and applied — is deferred to
-  /// unplug(), which hands everything to one elevator pass with
-  /// cross-batch merging. The caller must keep the bios alive until the
-  /// plug closes and must not read done_at/applied before then. The
-  /// returned ticket is redeemable either way (wait() on a still-plugged
-  /// ticket flushes the plug first).
-  Ticket submit_async(std::span<Bio> bios);
-  sim::Nanos wait(const Ticket& t);
-
-  // ---- request plugging (blk_plug) ----
-  /// Open a plug: subsequent submit_async batches accumulate instead of
-  /// dispatching, so several small submissions from one task (a flusher
-  /// wake, a journal checkpoint) merge into one elevator pass. Nestable;
-  /// only the outermost unplug() dispatches. A synchronous operation
-  /// (submit / flush) flushes the accumulated batch early, preserving
-  /// ordering, and leaves the plug open.
-  void plug();
-  /// Close the plug: dispatch everything accumulated as ONE batch and
-  /// return its ticket (empty when nothing accumulated or still nested).
-  Ticket unplug();
-  [[nodiscard]] bool plugged() const { return plug_depth_ > 0; }
-  [[nodiscard]] const PlugStats& plug_stats() const { return plug_stats_; }
+  /// Non-barrier batched submission (QD>1): media effects, crash-model
+  /// write counting, done_at and applied all land now; only the wait is
+  /// deferred to the returned ticket.
+  virtual Ticket submit_async(std::span<Bio> bios) {
+    return queue_.submit_async(bios);
+  }
+  virtual sim::Nanos wait(const Ticket& t) { return queue_.wait(t); }
 
   // ---- blktrace-style tracing (see blockdev/trace.h) ----
   /// Arm tracing on this device tree: allocate a shared ring of `capacity`
@@ -220,9 +197,8 @@ class BlockDevice {
   /// FLUSH without advancing the calling thread: applies all media/state
   /// effects and returns the absolute completion time. flush() is
   /// wait_until(flush_nowait()); a striped volume flushes its members in
-  /// parallel by taking the max of their completions. An open plug is
-  /// flushed first — a FLUSH barrier must cover plugged writes.
-  sim::Nanos flush_nowait();
+  /// parallel by taking the max of their completions.
+  virtual sim::Nanos flush_nowait();
 
   /// Untimed access for mkfs-style tooling and tests.
   virtual void read_untimed(std::uint64_t blockno, std::span<std::byte> out);
@@ -305,21 +281,6 @@ class BlockDevice {
   struct NoBacking {};
   BlockDevice(DeviceParams params, NoBacking);
 
-  // ---- device-specific submission paths ----
-  // The public submit/submit_async/wait/flush_nowait entry points are
-  // non-virtual so the plug logic applies uniformly; subclasses (striped /
-  // mirrored volumes) override these impl hooks instead. The pointer-batch
-  // shape lets a closing plug hand its accumulated bios over without
-  // copying them.
-  virtual sim::Nanos submit_impl(std::span<Bio* const> bios) {
-    return queue_.submit(bios);
-  }
-  virtual Ticket submit_async_impl(std::span<Bio* const> bios) {
-    return queue_.submit_async(bios);
-  }
-  virtual sim::Nanos wait_impl(const Ticket& t) { return queue_.wait(t); }
-  virtual sim::Nanos flush_nowait_impl();
-
   /// First contact of a bio with this device's submission path: stamp
   /// queued_at (once — a volume stamps before fan-out and members keep the
   /// original time) and, when traced, assign a trace id and emit Q (plus X
@@ -332,11 +293,6 @@ class BlockDevice {
 
  private:
   friend class RequestQueue;
-
-  /// Dispatch whatever the plug accumulated (one batch, one elevator
-  /// pass) and resolve the synthetic tickets handed out meanwhile. Safe
-  /// to call with nothing accumulated; leaves the plug depth unchanged.
-  void flush_plug();
 
   BlockData& slot(std::uint64_t blockno);
   sim::Nanos service(sim::Nanos latency, sim::Nanos not_before = 0);
@@ -382,13 +338,6 @@ class BlockDevice {
   bool kill_armed_ = false;
   std::uint64_t last_block_read_ = ~0ULL;
   DeviceStats stats_;
-  // ---- plug state (see plug()/unplug()) ----
-  int plug_depth_ = 0;
-  std::vector<Bio*> plug_list_;                // accumulated, not dispatched
-  std::vector<std::uint64_t> plug_pending_;    // synthetic ticket ids out
-  std::unordered_map<std::uint64_t, Ticket> plug_resolved_;
-  std::uint64_t next_plug_id_ = 1;
-  PlugStats plug_stats_;
   RequestQueue queue_{*this};
 };
 

@@ -49,18 +49,6 @@ void dump_queue_stats(sim::JsonWriter& w, const std::string& name,
   w.end_object();
 }
 
-void dump_plug_stats(sim::JsonWriter& w, const std::string& name,
-                     const PlugStats& s) {
-  w.begin_object();
-  w.field("struct", "PlugStats");
-  w.field("device", name);
-  w.field("plugs", s.plugs);
-  w.field("plugged_batches", s.plugged_batches);
-  w.field("plugged_bios", s.plugged_bios);
-  w.field("forced_flushes", s.forced_flushes);
-  w.end_object();
-}
-
 void dump_volume_stats(sim::JsonWriter& w, const std::string& name,
                        const AggregateVolumeStats& s) {
   w.begin_object();
@@ -88,7 +76,6 @@ void dump_device_tree_stats(sim::JsonWriter& w, const std::string& name,
                             BlockDevice& dev) {
   dump_device_stats(w, name, dev.stats());
   dump_queue_stats(w, name, dev.queue().stats());
-  dump_plug_stats(w, name, dev.plug_stats());
   if (auto* agg = dynamic_cast<AggregateDevice*>(&dev)) {
     dump_volume_stats(w, name, agg->aggregate_stats());
     for (std::size_t i = 0; i < agg->members(); ++i) {

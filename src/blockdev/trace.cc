@@ -8,8 +8,6 @@ namespace bsim::blk {
 const char* trace_ev_name(TraceEv ev) {
   switch (ev) {
     case TraceEv::Queue: return "Q";
-    case TraceEv::Plug: return "P";
-    case TraceEv::Unplug: return "U";
     case TraceEv::Merge: return "M";
     case TraceEv::Dispatch: return "D";
     case TraceEv::Complete: return "C";

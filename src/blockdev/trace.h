@@ -5,8 +5,7 @@
 // (bench/blkparse.py).
 //
 // Event vocabulary (blktrace letters where one exists):
-//   Q  bio queued (enters a request queue, or accumulates under a plug)
-//   P  plug opened          U  unplug (accumulated batch dispatched)
+//   Q  bio queued (enters a volume or a request queue, whichever first)
 //   M  bio merged into the preceding request (back-merge/absorption)
 //   D  merged request dispatched to a device channel
 //   C  bio completed
@@ -38,8 +37,6 @@ namespace bsim::blk {
 
 enum class TraceEv : std::uint8_t {
   Queue,
-  Plug,
-  Unplug,
   Merge,
   Dispatch,
   Complete,
@@ -53,7 +50,7 @@ enum class TraceEv : std::uint8_t {
   Requeue,
 };
 
-inline constexpr int kTraceEvCount = 14;
+inline constexpr int kTraceEvCount = 12;
 
 /// The blkparse-style letter for an event ("Q", "D", "TO", ...).
 const char* trace_ev_name(TraceEv ev);

@@ -4,6 +4,7 @@
 #include <cassert>
 #include <cstring>
 
+#include "kernel/mount_options.h"
 #include "sim/cost_model.h"
 #include "sim/thread.h"
 
@@ -1393,14 +1394,14 @@ class Ext4FsType final : public kern::FileSystemType {
 
   kern::Result<kern::SuperBlock*> mount(blk::BlockDevice& dev,
                                         std::string_view opts) override {
+    auto mo = kern::MountOptions::parse(opts);
+    if (!mo.ok()) return mo.error();
     auto sb = std::make_unique<kern::SuperBlock>(dev, 16384);
     sb->fs_name = name_;
     auto mnt = std::make_unique<Ext4Mount>(*sb);
     sb->fs_info = mnt.get();
     sb->s_op = mnt.get();
-    if (opts.find("nopipeline") != std::string_view::npos) {
-      mnt->set_pipeline(false);
-    }
+    if (mo.value().nopipeline) mnt->set_pipeline(false);
     Err e = mnt->mount_init();
     if (e != Err::Ok) return e;
     Ext4Mount* m = mnt.get();

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "kernel/mount_options.h"
 #include "sim/cost_model.h"
 #include "sim/thread.h"
 
@@ -219,6 +220,8 @@ Err FuseModule::readpages(kern::Inode& inode, std::uint64_t first_pgoff,
 
 kern::Result<kern::SuperBlock*> FuseFsType::mount(blk::BlockDevice& dev,
                                                   std::string_view opts) {
+  auto mo = kern::MountOptions::parse(opts);
+  if (!mo.ok()) return mo.error();
   // The daemon opens the disk with O_DIRECT, like the paper's baseline.
   auto daemon = kernel_->new_process();
   const std::string devname = kernel_->device_name_of(&dev);
@@ -227,19 +230,17 @@ kern::Result<kern::SuperBlock*> FuseFsType::mount(blk::BlockDevice& dev,
                           kern::kORdWr | kern::kODirect);
   if (!fd.ok()) return fd.error();
 
-  // "-o io_uring": the daemon batches its block I/O submissions (§8.1).
-  const bool use_uring = opts.find("io_uring") != std::string_view::npos;
-
   auto sb = std::make_unique<kern::SuperBlock>(dev, /*buffer_cache=*/16384);
   sb->fs_name = name_;
+  // "-o io_uring": the daemon batches its block I/O submissions (§8.1).
   auto backend = std::make_unique<bento::UserBlockBackend>(
       *kernel_, *daemon, fd.value(), dev.nblocks(), /*cache_blocks=*/4096,
-      use_uring);
+      mo.value().io_uring);
   auto module =
       std::make_unique<FuseModule>(*sb, factory_(), std::move(backend),
                                    std::move(daemon), fd.value());
   // "-o extfuse": attach the eBPF metadata caches (paper §2.2, [5]).
-  if (opts.find("extfuse") != std::string_view::npos) {
+  if (mo.value().extfuse) {
     module->attach_extfuse(std::make_unique<ExtFuseFilter>());
   }
   sb->fs_info = static_cast<bento::BentoModule*>(module.get());

@@ -127,7 +127,7 @@ void BufferCache::brelse(BufferHead* bh) {
   outstanding_refs_ -= 1;
 }
 
-void BufferCache::sync_dirty_buffer(BufferHead* bh) {
+Err BufferCache::sync_dirty_buffer(BufferHead* bh) {
   assert(bh != nullptr && bh->cache == this);
   blk::Bio bio = blk::Bio::single_write(bh->blockno, bh->bytes());
   dev_.submit(bio);
@@ -136,10 +136,13 @@ void BufferCache::sync_dirty_buffer(BufferHead* bh) {
   if (bio.io_error) {
     wb_err_[dev_.child_of(bh->blockno)].record(Err::Io);
     wb_last_err_ = Err::Io;
-  } else if (bio.applied) {
+    return Err::Io;
+  }
+  if (bio.applied) {
     set_clean(bh);
     stats_.writebacks += 1;
   }
+  return Err::Ok;
 }
 
 void BufferCache::sync_dirty_buffers(std::span<BufferHead* const> bhs) {
@@ -154,17 +157,6 @@ blk::Ticket BufferCache::sync_dirty_buffers_async(
   for (BufferHead* bh : bhs) {
     assert(bh != nullptr && bh->cache == this);
     bios.push_back(blk::Bio::single_write(bh->blockno, bh->bytes()));
-  }
-  if (dev_.plugged()) {
-    // Deferred: the device only accumulates the batch, so media effects
-    // (and with them `applied`) land at unplug. Keep the bios and the
-    // buffer list alive until then; dirty state is retired when the plug
-    // closes (BufferCache::unplug), with the same applied-aware rule.
-    plug_held_.push_back(PluggedBatch{std::move(bios), {}});
-    PluggedBatch& pb = plug_held_.back();
-    pb.bhs.assign(bhs.begin(), bhs.end());
-    for (BufferHead* bh : pb.bhs) bh->plug_held = true;
-    return dev_.submit_async(pb.bios);
   }
   const blk::Ticket t = dev_.submit_async(bios);
   // Media effects land at submission; only the wait is deferred. Clear
@@ -191,17 +183,6 @@ void BufferCache::retire_batch(std::span<BufferHead* const> bhs,
     set_clean(bhs[i]);
     stats_.writebacks += 1;
   }
-}
-
-blk::Ticket BufferCache::unplug() {
-  const blk::Ticket t = dev_.unplug();
-  if (dev_.plugged()) return t;  // nested: the outermost unplug retires
-  for (PluggedBatch& pb : plug_held_) {
-    retire_batch(pb.bhs, pb.bios);
-    for (BufferHead* bh : pb.bhs) bh->plug_held = false;
-  }
-  plug_held_.clear();
-  return t;
 }
 
 void BufferCache::pin_journal(std::uint64_t blockno, bool pin) {
@@ -274,30 +255,10 @@ std::size_t BufferCache::batch_end(const std::vector<BufferHead*>& dirty,
 std::size_t BufferCache::flush_dirty_async(std::size_t max_batch,
                                            std::size_t queue_depth,
                                            std::size_t shard,
-                                           std::size_t nshards,
-                                           bool use_plug) {
+                                           std::size_t nshards) {
   assert(max_batch > 0 && queue_depth > 0);
   const std::size_t before = nr_dirty_;
   std::vector<BufferHead*> dirty = collect_dirty(shard, nshards);
-
-  if (use_plug && !dirty.empty()) {
-    // blk_plug-style drain: every sub-batch accumulates under one plug
-    // and dispatches at unplug as a single elevator pass, so batches that
-    // are adjacent on disk (or on a member device) merge across batch
-    // boundaries. QD management is moot — the one pass occupies all
-    // channels at once.
-    plug();
-    std::size_t i = 0;
-    while (i < dirty.size()) {
-      const std::size_t end = batch_end(dirty, i, max_batch);
-      (void)sync_dirty_buffers_async(
-          std::span<BufferHead* const>(dirty.data() + i, end - i));
-      i = end;
-    }
-    const blk::Ticket t = unplug();
-    dev_.wait(t);
-    return before - nr_dirty_;
-  }
 
   std::vector<blk::Ticket> inflight;
   inflight.reserve(queue_depth);
@@ -348,8 +309,8 @@ void BufferCache::evict_if_needed() {
     BufferHead* bh = mit->second.get();
     if (bh->refcount > 0) continue;
     // Journal-pinned victims must not be written outside their commit
-    // (WAL); plug-held victims back a deferred in-flight write. Both stay.
-    if (bh->jdirty || bh->plug_held) continue;
+    // (WAL): they stay.
+    if (bh->jdirty) continue;
     if (bh->dirty) {
       blk::Bio bio = blk::Bio::single_write(blockno, bh->bytes());
       dev_.submit(bio);

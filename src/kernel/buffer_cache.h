@@ -9,7 +9,6 @@
 
 #include <array>
 #include <cstdint>
-#include <deque>
 #include <list>
 #include <memory>
 #include <set>
@@ -39,10 +38,6 @@ struct BufferHead {
   /// journal commit is the only path allowed to, or WAL ordering breaks.
   /// Cleared when the commit path writes the buffer (set_clean).
   bool jdirty = false;
-  /// Held by an open request plug (a deferred async write references this
-  /// buffer's bytes); eviction must keep it resident until the plug
-  /// closes.
-  bool plug_held = false;
   int refcount = 0;
   BufferCache* cache = nullptr;
   std::array<std::byte, blk::kBlockSize> data{};
@@ -113,8 +108,10 @@ class BufferCache {
   }
 
   /// Synchronously write one buffer to the device (timed). Like Linux's
-  /// sync_dirty_buffer this waits for the transfer, not for a cache FLUSH.
-  void sync_dirty_buffer(BufferHead* bh);
+  /// sync_dirty_buffer this waits for the transfer, not for a cache FLUSH,
+  /// and returns Err::Io when the device failed the write (the buffer
+  /// stays dirty and the failure also lands in the error sequence).
+  Err sync_dirty_buffer(BufferHead* bh);
 
   /// Batched writeback: one request-queue submission for all `bhs`
   /// (journal commit paths hand their whole log run here). Counts one
@@ -129,24 +126,10 @@ class BufferCache {
   /// media effects land), but the caller redeems the returned ticket
   /// later, so several batches can be in flight (QD>1). An empty span
   /// returns an empty ticket.
-  /// Under an open plug (see plug()) the submission is DEFERRED: the
-  /// cache keeps the bios alive, dispatch happens at unplug in one
-  /// merged elevator pass, and dirty state is retired then, applied-aware
-  /// as always.
   blk::Ticket sync_dirty_buffers_async(std::span<BufferHead* const> bhs);
 
   /// Redeem a ticket from sync_dirty_buffers_async (timed).
   void wait(const blk::Ticket& t) { dev_.wait(t); }
-
-  // ---- request plugging (blk_plug over the buffer cache) ----
-  /// Open a plug on the backing device: subsequent async writebacks
-  /// accumulate and dispatch as ONE cross-batch-merged submission at
-  /// unplug. The cache owns the deferred bios and retires dirty state
-  /// when the plug closes (or when a sync operation flushes it early).
-  void plug() { dev_.plug(); }
-  /// Close the plug, dispatch, retire deferred dirty state; returns the
-  /// combined batch's ticket (empty when nothing accumulated).
-  blk::Ticket unplug();
 
   /// Journal pinning: while `pin` is set the buffer is owned by a running
   /// transaction — background drains and eviction skip it (see
@@ -195,16 +178,13 @@ class BufferCache {
   /// leave their buffers dirty and are not counted). `shard`/`nshards`
   /// restrict the drain to buffers whose block maps to that member
   /// device (`device().child_of`) — the per-device flusher's share; the
-  /// defaults drain everything.
-  /// `use_plug` accumulates the batches under one request plug (one
-  /// elevator pass with cross-batch merging) instead of redeeming QD>1
-  /// tickets; batch boundaries are trimmed to stripe-row edges either way
-  /// when the volume has striping geometry (stripe-aware clustering).
+  /// defaults drain everything. Batch boundaries are trimmed to
+  /// stripe-row edges when the volume has striping geometry
+  /// (stripe-aware clustering).
   std::size_t flush_dirty_async(std::size_t max_batch,
                                 std::size_t queue_depth,
                                 std::size_t shard = 0,
-                                std::size_t nshards = 1,
-                                bool use_plug = true);
+                                std::size_t nshards = 1);
 
   /// Issue a device cache FLUSH (timed) — blkdev_issue_flush.
   void issue_flush();
@@ -241,8 +221,8 @@ class BufferCache {
       cnt -= 1;
     }
   }
-  /// Clear dirty state for the applied bios of one (possibly deferred)
-  /// writeback batch and count the writebacks.
+  /// Clear dirty state for the applied bios of one writeback batch and
+  /// count the writebacks.
   void retire_batch(std::span<BufferHead* const> bhs,
                     std::span<const blk::Bio> bios);
   /// Pick the end of the next flush batch: at most `max_batch` buffers,
@@ -257,14 +237,6 @@ class BufferCache {
 
   blk::BlockDevice& dev_;
   std::size_t capacity_;
-  /// Batches deferred by an open plug: the cache must keep the bios (the
-  /// device holds pointers into them) and the buffer list (to retire
-  /// dirty state at unplug) alive until the plug closes.
-  struct PluggedBatch {
-    std::vector<blk::Bio> bios;
-    std::vector<BufferHead*> bhs;
-  };
-  std::deque<PluggedBatch> plug_held_;
   /// Dirty blocknos, ordered (the tagged-radix analogue): writeback walks
   /// this, never the whole map.
   std::set<std::uint64_t> dirty_index_;

@@ -123,8 +123,7 @@ void Flusher::run_cycle(bool timer_due) {
                      : sb_->bufcache().nr_dirty();
     if (params_.drain_buffers && shard_dirty > 0) {
       stats_.buffers_flushed += sb_->bufcache().flush_dirty_async(
-          params_.max_batch, params_.queue_depth, shard_, nshards_,
-          params_.use_plug);
+          params_.max_batch, params_.queue_depth, shard_, nshards_);
     }
   }
   running_ = false;
@@ -137,10 +136,9 @@ void Flusher::run_cycle(bool timer_due) {
 
 void Flusher::wait_idle() { sim::current().wait_until(thread_.now()); }
 
-void maybe_attach_flusher(SuperBlock& sb, std::string_view opts,
+void maybe_attach_flusher(SuperBlock& sb, const MountOptions& mo,
                           FlusherParams params) {
-  if (opts.find("noflusher") != std::string_view::npos) return;
-  if (opts.find("noplug") != std::string_view::npos) params.use_plug = false;
+  if (mo.noflusher) return;
   // One flusher per member device: a plain device gets one; a striped
   // volume gets fan_out() of them, each owning one member's writeback
   // and backpressure.

@@ -33,7 +33,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string_view>
 #include <vector>
 
 #include "sim/stats.h"
@@ -44,6 +43,7 @@ namespace bsim::kern {
 
 class Inode;
 class SuperBlock;
+struct MountOptions;
 
 struct FlusherParams {
   /// Drain when an inode accumulates this many dirty pages (the trigger
@@ -75,10 +75,6 @@ struct FlusherParams {
   /// writeback themselves and leave this off. (Journal-pinned buffers
   /// are skipped by the drain either way; see BufferHead::jdirty.)
   bool drain_buffers = false;
-  /// Drain the buffer batches under one request plug (one cross-batch
-  /// merged elevator pass per wake) instead of QD>1 ticket juggling.
-  /// "-o noplug" turns this off (the ablation escape hatch).
-  bool use_plug = true;
 };
 
 struct FlusherStats {
@@ -165,8 +161,8 @@ class Flusher {
 /// Mount-time helper shared by the deployments that opt in to background
 /// writeback: attach one flusher per member device of `sb`'s volume
 /// (`bdev().fan_out()`; exactly one for a plain device) unless the mount
-/// options contain "noflusher" (the writer-context ablation escape hatch).
-void maybe_attach_flusher(SuperBlock& sb, std::string_view opts,
+/// options say "noflusher" (the writer-context ablation escape hatch).
+void maybe_attach_flusher(SuperBlock& sb, const MountOptions& mo,
                           FlusherParams params = {});
 
 }  // namespace bsim::kern

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cassert>
 
-#include "blockdev/opts.h"
+#include "kernel/mount_options.h"
 #include "sim/cost_model.h"
 #include "sim/thread.h"
 
@@ -174,58 +174,32 @@ Err Kernel::mount(std::string_view fstype, std::string_view devname,
   if (dev == nullptr) return Err::NoDev;
   if (mountpoint.empty() || mountpoint.front() != '/') return Err::Inval;
   if (sb_at(mountpoint) != nullptr) return Err::Busy;
-  // Strict option parsing: every token must be in the shared vocabulary
-  // (blockdev/opts.h), or the mount fails — a typo'd "mirrro=2" must not
-  // silently mount unmirrored. "lax_opts" opts a mount out (experiments
-  // carrying options the vocabulary does not know yet).
-  if (!blk::opts_lax(opts) && !blk::unknown_opt_tokens(opts).empty()) {
-    return Err::Inval;
-  }
-  // "trace=N": arm blktrace-style tracing on the device tree (ring of N
-  // events) BEFORE the file system mounts, so journal replay and the first
-  // metadata reads are captured. Tracing never touches the simulated
-  // clock, so results stay bit-identical with it on.
-  blk::for_each_opt_token(opts, [&](std::string_view tok) {
-    std::uint64_t n = 0;
-    if (blk::opt_num_after(tok, "trace=", n) && n > 0) {
-      dev->arm_trace(static_cast<std::size_t>(n), std::string{devname});
-    }
-  });
-  // Transient-error retry knobs: arm the device tree's bounded-retry
-  // policy before the file system touches it, so journal replay reads are
-  // covered too. "retries=0" (the default) keeps retry fully disabled.
-  {
+  // Strict option parsing: an unknown or malformed token fails the mount
+  // (a typo'd "mirrro=2" must not silently mount unmirrored).
+  auto parsed = MountOptions::parse(opts);
+  if (!parsed.ok()) return parsed.error();
+  const MountOptions& mo = parsed.value();
+  // trace=N: arm blktrace-style tracing on the device tree BEFORE the file
+  // system mounts, so journal replay and the first metadata reads are
+  // captured. Tracing never touches the simulated clock, so results stay
+  // bit-identical with it on.
+  if (mo.trace > 0) dev->arm_trace(mo.trace, std::string{devname});
+  // Transient-error retry knobs, armed before the file system touches the
+  // device so journal replay reads are covered too. Without them
+  // (retries=0 by default) retry stays fully disabled.
+  if (mo.retries || mo.retry_backoff || mo.io_deadline) {
     blk::RetryPolicy rp = dev->queue().retry_policy();
-    bool armed = false;
-    blk::for_each_opt_token(opts, [&](std::string_view tok) {
-      std::uint64_t n = 0;
-      if (blk::opt_num_after(tok, "retries=", n)) {
-        rp.max_retries = static_cast<std::uint32_t>(n);
-        armed = true;
-      } else if (blk::opt_num_after(tok, "retry_backoff_us=", n)) {
-        rp.backoff = sim::usec(static_cast<sim::Nanos>(n));
-        armed = true;
-      } else if (blk::opt_num_after(tok, "io_deadline_ms=", n)) {
-        rp.deadline = sim::msec(static_cast<sim::Nanos>(n));
-        armed = true;
-      }
-    });
-    if (armed) dev->set_retry_policy(rp);
+    rp.max_retries = mo.retries.value_or(rp.max_retries);
+    rp.backoff = mo.retry_backoff.value_or(rp.backoff);
+    rp.deadline = mo.io_deadline.value_or(rp.deadline);
+    dev->set_retry_policy(rp);
   }
 
   auto sb = type->mount(*dev, opts);
   if (!sb.ok()) return sb.error();
-  // Error behaviour (ext4's errors= option, honored for every FS here):
-  // what a journal abort / unrecoverable FS error does to the mount.
-  blk::for_each_opt_token(opts, [&](std::string_view tok) {
-    if (tok == "errors=remount-ro") {
-      sb.value()->errors_mode = SuperBlock::ErrorsMode::RemountRo;
-    } else if (tok == "errors=continue") {
-      sb.value()->errors_mode = SuperBlock::ErrorsMode::Continue;
-    } else if (tok == "errors=panic") {
-      sb.value()->errors_mode = SuperBlock::ErrorsMode::Panic;
-    }
-  });
+  // What a journal abort / unrecoverable FS error does to the mount
+  // (ext4's errors= option, honored for every FS here).
+  sb.value()->errors_mode = mo.errors;
   mounts_.push_back(Mount{std::string{mountpoint}, sb.value(), type,
                           std::string{devname}});
   std::sort(mounts_.begin(), mounts_.end(), [](const Mount& a, const Mount& b) {

@@ -105,11 +105,9 @@ unsigned IoUring::drain_bdev_run(const Sqe& first, OpenFile& of,
     // drain continues, so consecutive runs (different ops or fds) overlap
     // across the device channels — QD>1 from one submitting thread. The
     // barrier is wait_inflight(), before any ordering-sensitive SQE and
-    // before io_uring_enter returns. The bios move into the inflight
-    // record: a plugged device may defer dispatch and keep pointers into
-    // them until its plug closes.
+    // before io_uring_enter returns.
     const blk::Ticket t = dev.submit_async(bios);
-    inflight.push_back(InflightRun{&dev, t, std::move(bios)});
+    inflight.push_back(InflightRun{&dev, t});
     stats_.async_runs += 1;
     stats_.max_inflight_runs =
         std::max<std::uint64_t>(stats_.max_inflight_runs, inflight.size());

@@ -94,10 +94,6 @@ class IoUring {
   struct InflightRun {
     blk::BlockDevice* dev = nullptr;
     blk::Ticket ticket;
-    /// The run's bios, kept alive until the ticket is redeemed: the
-    /// device's submit_async contract allows a plugged device to defer
-    /// dispatch and retain pointers into them until the plug closes.
-    std::vector<blk::Bio> bios;
   };
 
   Err push(Sqe sqe);

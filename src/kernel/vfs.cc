@@ -246,9 +246,11 @@ Result<std::uint64_t> generic_file_write(Inode& inode, std::uint64_t off,
         std::min<std::uint64_t>(kPageSize - within, in.size() - done));
 
     // Partial overwrite of an existing page within the file must read it
-    // first; full-page writes (or fresh extension) need not.
+    // first; full-page writes (or a page that starts at or past the old
+    // EOF) need not. An append inside a partial last page is a partial
+    // overwrite: the bytes before the old EOF live on that page.
     const bool full_page = within == 0 && chunk == kPageSize;
-    const bool beyond_eof = pos >= inode.size;
+    const bool beyond_eof = pgoff * kPageSize >= inode.size;
     Page* page = nullptr;
     if (full_page || beyond_eof) {
       page = &inode.mapping.find_or_alloc(pgoff);

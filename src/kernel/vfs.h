@@ -21,6 +21,7 @@
 #include "kernel/buffer_cache.h"
 #include "kernel/errno.h"
 #include "kernel/flusher.h"
+#include "kernel/mount_options.h"
 #include "kernel/page_cache.h"
 #include "kernel/types.h"
 #include "sim/jsonw.h"
@@ -144,13 +145,7 @@ class SuperBlock {
   std::string fs_name;
 
   // ---- error behaviour (the ext4 `errors=` mount option) ----
-  /// What a detected file-system error (journal abort, failed metadata
-  /// write the FS cannot recover) does to the mount.
-  enum class ErrorsMode : std::uint8_t {
-    RemountRo,  // flip read-only: reads keep serving, writes fail RoFs
-    Continue,   // record and keep going (errors still report via errseq)
-    Panic,      // abort the simulation (errors=panic)
-  };
+  using ErrorsMode = kern::ErrorsMode;
   ErrorsMode errors_mode = ErrorsMode::RemountRo;
 
   /// Whether the mount has degraded to read-only (fs_error under

@@ -33,9 +33,9 @@ class Xv6FileSystem : public bento::FileSystem {
  public:
   struct Options {
     Durability durability = Durability::Relaxed;
-    /// Write-path tuning: group commit, pipelining, plugging. Overridden
-    /// token-by-token from the mount-option string ("max_log_batch=N",
-    /// "nopipeline", "noplug", "nogroup"; see merge_log_opts).
+    /// Write-path tuning: group commit and pipelining. Mount options
+    /// override it field by field ("max_log_batch=N", "log_blocks=N",
+    /// "nopipeline", "nogroup"; see apply_mount_options).
     LogParams log;
     /// Version tag surfaced through FileSystem::version() (upgrade demos).
     std::string version = "xv6fs-v1";
@@ -49,7 +49,8 @@ class Xv6FileSystem : public bento::FileSystem {
   }
 
   void apply_mount_opts(std::string_view opts) override {
-    opts_.log = merge_log_opts(opts, opts_.log);
+    auto mo = kern::MountOptions::parse(opts);
+    if (mo.ok()) opts_.log = apply_mount_options(opts_.log, mo.value());
   }
 
   // ---- bento::FileSystem ----

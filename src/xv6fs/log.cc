@@ -4,7 +4,6 @@
 #include <cassert>
 #include <cstring>
 
-#include "blockdev/opts.h"
 #include "sim/thread.h"
 
 namespace bsim::xv6 {
@@ -14,21 +13,10 @@ using bento::SuperBlockCap;
 using bento::WriteTicket;
 using kern::Err;
 
-LogParams merge_log_opts(std::string_view opts, LogParams base) {
-  blk::for_each_opt_token(opts, [&](std::string_view tok) {
-    std::uint64_t n = 0;
-    if (blk::opt_num_after(tok, "max_log_batch=", n) && n >= 1) {
-      base.max_log_batch = static_cast<std::size_t>(n);
-    } else if (blk::opt_num_after(tok, "log_blocks=", n) && n >= 1) {
-      base.group_dirty_blocks = static_cast<std::size_t>(n);
-    } else if (tok == "nogroup") {
-      base.max_log_batch = 1;
-    } else if (tok == "nopipeline") {
-      base.pipeline = false;
-    } else if (tok == "noplug") {
-      base.plug = false;
-    }
-  });
+LogParams apply_mount_options(LogParams base, const kern::MountOptions& mo) {
+  base.max_log_batch = mo.max_log_batch.value_or(base.max_log_batch);
+  base.group_dirty_blocks = mo.log_blocks.value_or(base.group_dirty_blocks);
+  if (mo.nopipeline) base.pipeline = false;
   return base;
 }
 
@@ -220,9 +208,7 @@ Err Log::commit(SuperBlockCap& sb) {
                    static_cast<std::uint32_t>(pending_.size()));
 
   std::vector<WriteTicket> tickets;
-  bool plugged = false;
   auto fail = [&](Err e) {
-    if (plugged) tickets.push_back(sb.unplug());
     for (const WriteTicket& t : tickets) sb.wait(t);
     return e;
   };
@@ -296,22 +282,13 @@ Err Log::commit(SuperBlockCap& sb) {
     tickets.push_back(sb.flush_all_async());
   }
 
-  // 3+4. Install to home locations, then clear the header. In Relaxed
-  //      mode (no durability ordering between them without barriers) the
-  //      two ride ONE request plug: a single merged elevator pass. In
-  //      Strict mode the FLUSH barrier between them is preserved, issued
-  //      through the non-blocking flush so the pipeline still overlaps
-  //      its completion.
-  if (params_.plug && durability_ != Durability::Strict) {
-    sb.plug();
-    plugged = true;
-  }
+  // 3+4. Install to home locations, then clear the header. In Strict
+  //      mode the FLUSH barrier between them is issued through the
+  //      non-blocking flush so the pipeline still overlaps its completion.
   {
     const Err e = install(sb, header, /*recovering=*/false, &tickets);
     if (e != Err::Ok) return fail(e);
     sb.trace_journal(blk::TraceEv::JCheckpoint, txn_seq_, header.n);
-    // Under a plug the install ticket is synthetic (done = 0); the real
-    // completion rides the unplug ticket, recorded below instead.
     if (tickets.back().ticket.done > 0) {
       stats_.checkpoint_lat.record(tickets.back().ticket.done - t0);
     }
@@ -322,14 +299,7 @@ Err Log::commit(SuperBlockCap& sb) {
   header = LogHeader{};
   {
     const Err e = write_header_async(sb, header, tickets);
-    if (e != Err::Ok) return fail(e);  // fail() closes the open plug too
-  }
-  if (plugged) {
-    plugged = false;
-    tickets.push_back(sb.unplug());
-    if (tickets.back().ticket.done > 0) {
-      stats_.checkpoint_lat.record(tickets.back().ticket.done - t0);
-    }
+    if (e != Err::Ok) return fail(e);
   }
   if (durability_ == Durability::Strict) {
     tickets.push_back(sb.flush_all_async());

@@ -29,10 +29,7 @@
 //
 // Durability has two modes:
 //   Relaxed — synchronous writes only, no device FLUSH barriers. This is
-//             how the paper's implementation behaves on the PM981. The
-//             install batch and header clear additionally share one
-//             request plug (one merged elevator pass) — there is no
-//             ordering claim between them without barriers.
+//             how the paper's implementation behaves on the PM981.
 //   Strict  — FLUSH before the commit record and after install, making the
 //             commit point durable against power loss. The barriers are
 //             issued through the non-blocking flush (flush_all_async), so
@@ -46,11 +43,11 @@
 
 #include <cstdint>
 #include <deque>
-#include <string_view>
 #include <vector>
 
 #include "bento/kernel_services.h"
 #include "kernel/errno.h"
+#include "kernel/mount_options.h"
 #include "sim/stats.h"
 #include "xv6fs/layout.h"
 
@@ -58,7 +55,7 @@ namespace bsim::xv6 {
 
 enum class Durability { Relaxed, Strict };
 
-/// Write-path tuning (mount options; see merge_log_opts).
+/// Write-path tuning (mount options; see apply_mount_options).
 struct LogParams {
   /// Group commit: ops absorbed into one transaction before end_op
   /// forces a commit. 1 = commit per op (the pre-pipelining behaviour).
@@ -72,14 +69,12 @@ struct LogParams {
   bool pipeline = true;
   /// Commits whose transfers may be outstanding at once.
   std::size_t pipeline_depth = 2;
-  /// Relaxed-mode install+clear request plugging ("noplug" disables).
-  bool plug = true;
 };
 
-/// Apply "max_log_batch=N", "log_blocks=N", "nopipeline", "noplug",
-/// "nogroup" (= max_log_batch=1) tokens from a mount-option string onto
-/// `base`; unrelated tokens are ignored.
-LogParams merge_log_opts(std::string_view opts, LogParams base);
+/// `base` with the journal fields the mount options set (max_log_batch=N
+/// or nogroup, log_blocks=N, nopipeline) overriding it; fields the options
+/// leave unset keep the caller's configuration.
+LogParams apply_mount_options(LogParams base, const kern::MountOptions& mo);
 
 struct LogStats {
   std::uint64_t commits = 0;

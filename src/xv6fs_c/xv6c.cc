@@ -8,6 +8,7 @@
 #include <cstring>
 
 #include "kernel/flusher.h"
+#include "kernel/mount_options.h"
 #include "sim/cost_model.h"
 #include "sim/thread.h"
 
@@ -105,7 +106,7 @@ Err Xv6cMount::log_force() {
     log_lock_.lock();
   }
   Err e = Err::Ok;
-  if (!log_pending_.empty()) e = log_commit();
+  if (log_aborted_ || !log_pending_.empty()) e = log_commit();
   log_lock_.unlock();
   return e;
 }
@@ -116,13 +117,31 @@ Err Xv6cMount::log_header_write(const LogHeader& h) {
   if (!bh.ok()) return bh.error();
   std::memcpy(bh.value()->bytes().data(), &h, sizeof(h));
   bc.mark_dirty(bh.value());
-  bc.sync_dirty_buffer(bh.value());
+  const Err e = bc.sync_dirty_buffer(bh.value());
   bc.brelse(bh.value());
-  return Err::Ok;
+  return e;
 }
 
 Err Xv6cMount::log_commit() {
   auto& bc = sb_->bufcache();
+  // Journal abort: a write INSIDE the journal protocol failed, so this
+  // transaction can never become durable. The commit record is never
+  // issued — recovery finds an empty header and replays nothing. The
+  // pending blocks stay journal-pinned in the cache (writing them home
+  // would put uncommitted state on disk); the mount's errors= policy
+  // decides what happens to the file system, and every later commit
+  // fails with EIO.
+  auto abort_log = [&](Err e) {
+    if (!log_aborted_) {
+      log_aborted_ = true;
+      log_stats_.log_aborted += 1;
+      sb_->fs_error(e);
+    }
+    log_pending_.clear();
+    log_ops_in_batch_ = 0;
+    return Err::Io;
+  };
+  if (log_aborted_) return abort_log(Err::Io);
   // Copy to the log area.
   for (std::size_t i = 0; i < log_pending_.size(); ++i) {
     auto src = bc.bread(log_pending_[i]);
@@ -135,9 +154,10 @@ Err Xv6cMount::log_commit() {
     std::memcpy(dst.value()->bytes().data(), src.value()->bytes().data(),
                 kBlockSize);
     bc.mark_dirty(dst.value());
-    bc.sync_dirty_buffer(dst.value());
+    const Err e = bc.sync_dirty_buffer(dst.value());
     bc.brelse(dst.value());
     bc.brelse(src.value());
+    if (e != Err::Ok) return abort_log(e);
   }
   // Commit record.
   LogHeader h;
@@ -145,7 +165,7 @@ Err Xv6cMount::log_commit() {
   for (std::size_t i = 0; i < log_pending_.size(); ++i) {
     h.blocks[i] = log_pending_[i];
   }
-  BSIM_TRY(log_header_write(h));
+  if (const Err e = log_header_write(h); e != Err::Ok) return abort_log(e);
   // Install home locations.
   for (const std::uint32_t blockno : log_pending_) {
     auto bh = bc.bread(blockno);
@@ -154,8 +174,9 @@ Err Xv6cMount::log_commit() {
     bc.sync_dirty_buffer(bh.value());
     bc.brelse(bh.value());
   }
-  // Clear.
-  BSIM_TRY(log_header_write(LogHeader{}));
+  // Clear. A failed clear leaves a header naming blocks already installed
+  // at home; replaying them at the next mount is idempotent.
+  (void)log_header_write(LogHeader{});
   log_stats_.commits += 1;
   log_stats_.blocks_logged += log_pending_.size();
   log_stats_.ops_committed += log_ops_in_batch_;
@@ -1125,12 +1146,15 @@ class Xv6cFsType final : public kern::FileSystemType {
 
   kern::Result<kern::SuperBlock*> mount(blk::BlockDevice& dev,
                                         std::string_view opts) override {
+    auto mo = kern::MountOptions::parse(opts);
+    if (!mo.ok()) return mo.error();
     auto sb = std::make_unique<kern::SuperBlock>(dev, 16384);
     sb->fs_name = name_;
     auto mnt = std::make_unique<Xv6cMount>(*sb);
     sb->fs_info = mnt.get();
     sb->s_op = mnt.get();
-    mnt->set_log_params(xv6::merge_log_opts(opts, xv6::LogParams{}));
+    mnt->set_log_params(
+        xv6::apply_mount_options(xv6::LogParams{}, mo.value()));
     Err e = mnt->mount_init();
     if (e != Err::Ok) return e;
     // Background writeback for the kernel (C-VFS) deployment, same
@@ -1140,7 +1164,7 @@ class Xv6cFsType final : public kern::FileSystemType {
     // "-o noflusher" restores writer-context sync.
     kern::FlusherParams fp;
     fp.drain_buffers = true;
-    kern::maybe_attach_flusher(*sb, opts, fp);
+    kern::maybe_attach_flusher(*sb, mo.value(), fp);
     Xv6cMount* m = mnt.get();
     sb->register_stats("xv6c", [m](sim::JsonWriter& w) {
       const CLogStats& s = m->log_stats();
@@ -1150,6 +1174,7 @@ class Xv6cFsType final : public kern::FileSystemType {
       w.field("blocks_logged", s.blocks_logged);
       w.field("ops_committed", s.ops_committed);
       w.field("group_commits", s.group_commits);
+      w.field("log_aborted", s.log_aborted);
       w.end_object();
     });
     mnt.release();

@@ -20,7 +20,7 @@
 
 #include "kernel/kernel.h"
 #include "xv6fs/layout.h"
-#include "xv6fs/log.h"  // LogParams/merge_log_opts (group-commit tuning)
+#include "xv6fs/log.h"  // LogParams (group-commit tuning)
 
 namespace bsim::xv6c {
 
@@ -29,6 +29,7 @@ struct CLogStats {
   std::uint64_t blocks_logged = 0;
   std::uint64_t ops_committed = 0;  // ops closed across all commits
   std::uint64_t group_commits = 0;  // commits that closed >1 op
+  std::uint64_t log_aborted = 0;    // journal aborts (failed log write)
 };
 
 /// Mount-level state (lives in kern::SuperBlock::fs_info).
@@ -140,6 +141,8 @@ class Xv6cMount final : public kern::InodeOps,
   std::vector<std::uint32_t> log_pending_;
   xv6::LogParams log_params_;   // max_log_batch / group_dirty_blocks
   std::size_t log_ops_in_batch_ = 0;
+  /// A log write failed: no later commit may run (xv6::Log's abort).
+  bool log_aborted_ = false;
   CLogStats log_stats_;
   std::uint64_t free_blocks_ = 0;
   std::uint64_t free_inodes_ = 0;

@@ -430,8 +430,7 @@ TEST_F(BioTest, FlushDirtyAsyncDrainsWithMultipleBatchesInFlight) {
     held.push_back(bh.value());
   }
   const std::size_t written =
-      cache.flush_dirty_async(/*max_batch=*/16, /*queue_depth=*/4,
-                              /*shard=*/0, /*nshards=*/1, /*use_plug=*/false);
+      cache.flush_dirty_async(/*max_batch=*/16, /*queue_depth=*/4);
   EXPECT_EQ(written, 64u);
   EXPECT_EQ(cache.nr_dirty(), 0u);
   EXPECT_EQ(dev.queue().stats().async_batches, 4u);  // 64/16
@@ -441,75 +440,6 @@ TEST_F(BioTest, FlushDirtyAsyncDrainsWithMultipleBatchesInFlight) {
     EXPECT_FALSE(bh->dirty);
     cache.brelse(bh);
   }
-}
-
-TEST_F(BioTest, FlushDirtyAsyncPlugMergesBatchesIntoOnePass) {
-  // The default (plugged) drain: the same sub-batch structure
-  // accumulates under one request plug and dispatches as ONE elevator
-  // pass — cross-batch merging instead of QD juggling.
-  auto p = small_params();
-  BlockDevice dev(p);
-  kern::BufferCache cache(dev, 0);
-
-  std::vector<kern::BufferHead*> held;
-  for (std::uint64_t i = 0; i < 64; ++i) {
-    auto bh = cache.getblk(i);  // contiguous: merges into ONE request
-    ASSERT_TRUE(bh.ok());
-    cache.mark_dirty(bh.value());
-    held.push_back(bh.value());
-  }
-  const std::size_t written =
-      cache.flush_dirty_async(/*max_batch=*/16, /*queue_depth=*/4);
-  EXPECT_EQ(written, 64u);
-  EXPECT_EQ(cache.nr_dirty(), 0u);
-  EXPECT_EQ(dev.plug_stats().plugs, 1u);
-  EXPECT_EQ(dev.plug_stats().plugged_batches, 4u);  // 64/16 accumulated
-  EXPECT_EQ(dev.plug_stats().plugged_bios, 64u);
-  EXPECT_EQ(dev.queue().stats().async_batches, 1u);  // one merged pass
-  // Cross-batch merging: the four 16-block sub-batches are adjacent on
-  // disk, so the single pass merges them into ONE 64-block command —
-  // impossible without the plug (each sub-batch would be its own
-  // request at best).
-  EXPECT_EQ(dev.stats().write_requests, 1u);
-  EXPECT_EQ(dev.stats().max_request_blocks, 64u);
-  EXPECT_EQ(dev.queue().inflight(), 0u);
-  for (auto* bh : held) {
-    EXPECT_FALSE(bh->dirty);
-    cache.brelse(bh);
-  }
-}
-
-TEST_F(BioTest, PlugDeferredTicketsResolveOnWaitAndSyncOpsFlushEarly) {
-  auto p = small_params();
-  BlockDevice dev(p);
-
-  std::array<std::byte, blk::kBlockSize> a{}, b{}, r{};
-  a.fill(std::byte{0xAA});
-  b.fill(std::byte{0xBB});
-  dev.plug();
-  Bio wa = Bio::single_write(3, a);
-  Bio wb = Bio::single_write(4, b);
-  const Ticket ta = dev.submit_async(std::span<Bio>(&wa, 1));
-  const Ticket tb = dev.submit_async(std::span<Bio>(&wb, 1));
-  // Deferred: nothing dispatched, media untouched, applied unset.
-  EXPECT_EQ(dev.stats().writes, 0u);
-  EXPECT_FALSE(wa.applied);
-  // A synchronous read is a barrier: it flushes the plug first, so it
-  // observes the plugged writes (and the window stays open).
-  Bio rd = Bio::single_read(3, r);
-  dev.submit(rd);
-  EXPECT_TRUE(dev.plugged());
-  EXPECT_TRUE(wa.applied);
-  EXPECT_EQ(r, a);
-  EXPECT_EQ(dev.plug_stats().forced_flushes, 1u);
-  // The pre-flush tickets resolved to the dispatched batch; waiting them
-  // (in any order) is harmless and the unplug of an empty window too.
-  dev.wait(tb);
-  dev.wait(ta);
-  const Ticket rest = dev.unplug();
-  EXPECT_FALSE(rest.valid());
-  EXPECT_FALSE(dev.plugged());
-  EXPECT_TRUE(wb.applied);
 }
 
 // ---- batched buffer-cache writeback ----

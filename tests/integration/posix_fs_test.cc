@@ -311,6 +311,40 @@ TEST_P(PosixFsTest, PersistsAcrossRemount) {
   ASSERT_EQ(Err::Ok, kernel_.close(proc(), fd.value()));
 }
 
+TEST_P(PosixFsTest, AppendAtUnalignedEofKeepsUncachedTail) {
+  // 15000 bytes: the last page (bytes 12288..14999) is partial.
+  std::string head(15000, '\0');
+  for (std::size_t i = 0; i < head.size(); ++i) {
+    head[i] = static_cast<char>('a' + i % 26);
+  }
+  auto fd = kernel_.open(proc(), "/mnt/tail", kern::kOCreat | kern::kOWrOnly);
+  ASSERT_TRUE(fd.ok());
+  ASSERT_TRUE(kernel_.write(proc(), fd.value(), as_bytes(head)).ok());
+  ASSERT_EQ(Err::Ok, kernel_.fsync(proc(), fd.value()));
+  ASSERT_EQ(Err::Ok, kernel_.close(proc(), fd.value()));
+
+  // Remount: the partial last page is no longer in the page cache, so the
+  // append below must read it before copying in the new bytes.
+  ASSERT_EQ(Err::Ok, kernel_.umount("/mnt"));
+  ASSERT_EQ(Err::Ok, kernel_.mount(GetParam(), "ssd0", "/mnt"));
+
+  const std::string tail(1000, 'Z');
+  fd = kernel_.open(proc(), "/mnt/tail", kern::kOWrOnly);
+  ASSERT_TRUE(fd.ok());
+  ASSERT_TRUE(kernel_.pwrite(proc(), fd.value(), as_bytes(tail), 15000).ok());
+  ASSERT_EQ(Err::Ok, kernel_.fsync(proc(), fd.value()));
+  ASSERT_EQ(Err::Ok, kernel_.close(proc(), fd.value()));
+
+  fd = kernel_.open(proc(), "/mnt/tail", kern::kORdOnly);
+  ASSERT_TRUE(fd.ok());
+  std::vector<std::byte> buf(20000);
+  auto r = kernel_.read(proc(), fd.value(), buf);
+  ASSERT_TRUE(r.ok());
+  ASSERT_EQ(r.value(), head.size() + tail.size());
+  EXPECT_TRUE(to_string({buf.data(), r.value()}) == head + tail);
+  ASSERT_EQ(Err::Ok, kernel_.close(proc(), fd.value()));
+}
+
 TEST_P(PosixFsTest, ManyFilesInOneDirectory) {
   ASSERT_EQ(Err::Ok, kernel_.mkdir(proc(), "/mnt/many"));
   for (int i = 0; i < 300; ++i) {

@@ -11,6 +11,9 @@
 //     the mount degrades per its errors= policy (remount-ro default:
 //     writes fail EROFS, reads keep serving; errors=continue keeps the
 //     mount writable-in-cache but the journal stays dead).
+//   - The C-kernel (xv6_vfs) log aborts the same way: a failed log write
+//     stops the commit before its commit record, so a crash afterwards
+//     recovers the pre-abort image.
 //   - A transient fault retried to success by the request queue's
 //     RetryPolicy is invisible to fsync: no residual error, no abort.
 #include <gtest/gtest.h>
@@ -207,6 +210,81 @@ TEST(JournalAbort, ErrorsContinueKeepsServingWithoutRoFlip) {
   EXPECT_EQ(kernel.fsync(p, fd.value()), Err::Io);
 
   EXPECT_EQ(Err::Ok, kernel.close(p, fd.value()));
+  EXPECT_EQ(Err::Ok, kernel.umount("/mnt"));
+}
+
+/// Every block of `dev`'s media state (untimed).
+std::vector<blk::BlockData> image_of(blk::BlockDevice& dev) {
+  std::vector<blk::BlockData> img(dev.nblocks());
+  for (std::uint64_t b = 0; b < dev.nblocks(); ++b) {
+    dev.read_untimed(b, img[b]);
+  }
+  return img;
+}
+
+TEST(JournalAbort, CKernelLogWriteFailureAbortsBeforeCommitRecord) {
+  sim::SimThread thread(0);
+  sim::ScopedThread in(thread);
+  kern::Kernel kernel;
+  blk::DeviceParams params;
+  params.nblocks = kBlocks;
+  auto& dev = kernel.add_device("ssd0", params);
+  const xv6::DiskSuperblock dsb = xv6::mkfs(dev, /*ninodes=*/512);
+  xv6c::register_xv6c(kernel, "xv6_vfs");
+  ASSERT_EQ(Err::Ok, kernel.mount("xv6_vfs", "ssd0", "/mnt"));
+  dev.enable_crash_tracking();
+  auto& p = kernel.proc();
+
+  auto keep = kernel.open(p, "/mnt/keep", kern::kOCreat | kern::kORdWr);
+  ASSERT_TRUE(keep.ok());
+  ASSERT_TRUE(kernel.write(p, keep.value(), as_bytes("survives")).ok());
+  ASSERT_EQ(Err::Ok, kernel.fsync(p, keep.value()));
+  const std::vector<blk::BlockData> pre_abort = image_of(dev);
+
+  // Poison the log run's first payload block: the next commit's first
+  // log write fails, and the commit record must never follow it.
+  dev.inject_write_error(dsb.logstart + 1);
+  auto fd = kernel.open(p, "/mnt/doomed", kern::kOCreat | kern::kORdWr);
+  ASSERT_TRUE(fd.ok());
+  ASSERT_TRUE(kernel.write(p, fd.value(), as_bytes("never durable")).ok());
+  EXPECT_EQ(kernel.fsync(p, fd.value()), Err::Io);
+
+  kern::SuperBlock* sb = kernel.sb_at("/mnt");
+  EXPECT_TRUE(sb->read_only());
+  EXPECT_EQ(sb->fs_error_seen(), Err::Io);
+  const auto* mnt = static_cast<const xv6c::Xv6cMount*>(sb->fs_info);
+  EXPECT_EQ(mnt->log_stats().log_aborted, 1u);
+  EXPECT_EQ(kernel.fsync(p, fd.value()), Err::Io);  // the log stays dead
+  EXPECT_EQ(mnt->log_stats().log_aborted, 1u);
+
+  // Power loss, then recovery on a copy of what survived: the header is
+  // empty, nothing replays, and the image is the pre-abort one.
+  sim::Rng rng(7);
+  dev.crash(/*survive_p=*/0.0, rng);
+  const std::vector<blk::BlockData> crashed = image_of(dev);
+  EXPECT_TRUE(crashed == pre_abort);
+
+  kern::Kernel fresh;
+  auto& copy = fresh.add_device("ssd0", params);
+  for (std::uint64_t b = 0; b < copy.nblocks(); ++b) {
+    copy.write_untimed(b, crashed[b]);
+  }
+  xv6c::register_xv6c(fresh, "xv6_vfs");
+  ASSERT_EQ(Err::Ok, fresh.mount("xv6_vfs", "ssd0", "/mnt"));
+  auto& q = fresh.proc();
+  EXPECT_FALSE(fresh.open(q, "/mnt/doomed", kern::kORdOnly).ok());
+  auto r = fresh.open(q, "/mnt/keep", kern::kORdOnly);
+  ASSERT_TRUE(r.ok());
+  std::vector<std::byte> buf(16);
+  auto n = fresh.read(q, r.value(), buf);
+  ASSERT_TRUE(n.ok());
+  EXPECT_EQ(to_string({buf.data(), n.value()}), "survives");
+  EXPECT_EQ(Err::Ok, fresh.close(q, r.value()));
+  EXPECT_EQ(Err::Ok, fresh.umount("/mnt"));
+  EXPECT_TRUE(image_of(copy) == pre_abort);
+
+  EXPECT_EQ(Err::Ok, kernel.close(p, fd.value()));
+  EXPECT_EQ(Err::Ok, kernel.close(p, keep.value()));
   EXPECT_EQ(Err::Ok, kernel.umount("/mnt"));
 }
 

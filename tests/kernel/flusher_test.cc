@@ -143,7 +143,6 @@ TEST_F(FlusherTest, DrainsDirtyBuffersThroughAsyncBatches) {
   fp.dirty_buffers_min = 16;
   fp.max_batch = 8;
   fp.queue_depth = 2;
-  fp.use_plug = false;  // this test pins down the QD>1 ticket path
   sb.attach_flusher(std::make_unique<Flusher>(sb, fp));
   Flusher* f = sb.flusher();
 
@@ -161,38 +160,6 @@ TEST_F(FlusherTest, DrainsDirtyBuffersThroughAsyncBatches) {
   EXPECT_EQ(f->stats().buffers_flushed, 32u);
   EXPECT_EQ(dev_.queue().stats().async_batches, 4u);  // 32 / 8
   EXPECT_GE(dev_.queue().stats().max_inflight, 2u);   // QD>1
-  EXPECT_EQ(dev_.queue().inflight(), 0u);
-  for (auto* bh : held) bc.brelse(bh);
-}
-
-TEST_F(FlusherTest, DefaultDrainPlugsBatchesIntoOneElevatorPass) {
-  // The default drain (use_plug on) accumulates the sub-batches under a
-  // request plug: one queue submission per wake, cross-batch merging.
-  SuperBlock sb(dev_, 0);
-  FlusherParams fp;
-  fp.drain_buffers = true;
-  fp.dirty_buffers_min = 16;
-  fp.max_batch = 8;
-  fp.queue_depth = 2;
-  sb.attach_flusher(std::make_unique<Flusher>(sb, fp));
-  Flusher* f = sb.flusher();
-
-  auto& bc = sb.bufcache();
-  std::vector<kern::BufferHead*> held;
-  for (std::uint64_t i = 0; i < 32; ++i) {
-    auto bh = bc.getblk(100 + i);  // contiguous: merges into one request
-    ASSERT_TRUE(bh.ok());
-    bc.mark_dirty(bh.value());
-    held.push_back(bh.value());
-  }
-  const auto wreq_before = dev_.stats().write_requests;
-  f->poke(nullptr);
-  EXPECT_EQ(bc.nr_dirty(), 0u);
-  EXPECT_EQ(f->stats().buffers_flushed, 32u);
-  EXPECT_EQ(dev_.plug_stats().plugs, 1u);
-  EXPECT_EQ(dev_.plug_stats().plugged_batches, 4u);  // 32 / 8
-  EXPECT_EQ(dev_.queue().stats().async_batches, 1u);  // one merged pass
-  EXPECT_EQ(dev_.stats().write_requests - wreq_before, 1u);  // one command
   EXPECT_EQ(dev_.queue().inflight(), 0u);
   for (auto* bh : held) bc.brelse(bh);
 }
@@ -308,7 +275,7 @@ TEST(FlusherSharding, BackpressureThrottlesOnlySlowMemberWriters) {
   fp.dirty_buffers_min = 8;  // volume-wide; per-member trigger = 4
   fp.dirty_pages_threshold = 1000;
   fp.max_backlog = sim::msec(1);
-  kern::maybe_attach_flusher(sb, "", fp);
+  kern::maybe_attach_flusher(sb, kern::MountOptions{}, fp);
   ASSERT_EQ(sb.flusher_count(), 2u);  // one flusher per member device
 
   Inode& fast_file = sb.inew(10);  // ino 10 -> shard 0

@@ -22,7 +22,7 @@ std::string snapshot(const std::string& fs, int stripe = 1) {
   wl::BedOptions opts;
   opts.fs = fs;
   opts.device_blocks = 32768;
-  opts.stripe_devices = stripe;
+  if (stripe > 1) opts.mount_opts = "stripe=" + std::to_string(stripe);
   wl::TestBed bed(opts);
 
   sim::SimThread thread(1);
@@ -53,8 +53,8 @@ TEST(StatsRegistry, EveryKnownStatsStructIsRegistered) {
   // core: ext4j journals its own writeback and FUSE drains in userspace,
   // so neither attaches kernel flusher shards.
   const std::vector<const char*> kCore = {
-      "DeviceStats", "RequestQueueStats", "PlugStats",
-      "BufferCacheStats", "AddressSpaceStats"};
+      "DeviceStats", "RequestQueueStats", "BufferCacheStats",
+      "AddressSpaceStats"};
   const Deployment deployments[] = {
       {"xv6_bento", 1, {"FlusherStats", "ModuleStats", "LogStats"}},
       {"xv6_bento", 4, {"AggregateVolumeStats", "LogStats"}},
@@ -68,8 +68,8 @@ TEST(StatsRegistry, EveryKnownStatsStructIsRegistered) {
   // seen in at least one snapshot. Adding a new *Stats without wiring it
   // into dump_stats()/register_stats() fails this list.
   std::vector<std::string> all_known = {
-      "DeviceStats",    "RequestQueueStats", "PlugStats",
-      "BufferCacheStats", "AddressSpaceStats", "FlusherStats",
+      "DeviceStats",    "RequestQueueStats", "BufferCacheStats",
+      "AddressSpaceStats", "FlusherStats",
       "AggregateVolumeStats", "ModuleStats", "LogStats",
       "NvmLogStats",    "CLogStats",       "FuseConnStats",
       "JournalStats",   "MapStats"};
