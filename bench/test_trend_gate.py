@@ -8,7 +8,9 @@ baseline, then checks:
      in the same report IMPROVED (the masking case the gate exists for),
   2. changes within the threshold pass,
   3. a legacy (untagged, MBps-unit) bandwidth drop still fails,
-  4. tracked-only rows (direction "") never gate.
+  4. tracked-only rows (direction "") never gate,
+  5. --identical passes on identical runs and fails on any changed value,
+     any row or report missing on either side, or a changed report field.
 
 Run: test_trend_gate.py [path/to/trend.py]. Exit 0 = all cases pass.
 """
@@ -29,10 +31,12 @@ def write_report(directory, bench, unit, rows):
                    "rows": rows}, f)
 
 
-def run_trend(directory, baseline=None):
+def run_trend(directory, baseline=None, identical=None):
     cmd = [sys.executable, TREND, "--dir", directory]
     if baseline:
         cmd += ["--baseline", baseline]
+    if identical:
+        cmd += ["--identical", identical]
     p = subprocess.run(cmd, capture_output=True, text=True)
     return p.returncode, p.stdout + p.stderr
 
@@ -126,6 +130,59 @@ def main():
         check("TREND.md marks gated series",
               "fsync-lat.p99 [ns]*" in md and "fsync-lat.p50 [ns] " in md.replace("|", " "),
               md)
+
+        # 5. --identical: exact agreement with another run's directory.
+        def identical_run(name, fsync_rows, legacy_rows, extra=None):
+            d = os.path.join(tmp, name)
+            os.mkdir(d)
+            write_report(d, "fsynclat", "ops/s", fsync_rows)
+            write_report(d, "legacy", "MBps", legacy_rows)
+            if extra:
+                write_report(d, *extra)
+            return d
+
+        legacy = [
+            {"series": "Bento", "label": "seq", "value": 500.0},
+            {"series": "Bento-scaling", "label": "seq", "value": 3.0},
+        ]
+        ref = identical_run("ident_ref", fsynclat_rows(100.0, 50_000, 200_000),
+                            legacy)
+        same = identical_run("ident_same",
+                             fsynclat_rows(100.0, 50_000, 200_000), legacy)
+        rc, out = run_trend(same, identical=ref)
+        check("identical runs pass --identical", rc == 0, out)
+
+        # A tracked-only p50 that moved by one ns still differs.
+        cur = identical_run("ident_value",
+                            fsynclat_rows(100.0, 50_001, 200_000), legacy)
+        rc, out = run_trend(cur, identical=ref)
+        check("--identical fails on a changed tracked-only value",
+              rc == 2 and "fsynclat/fsync-lat.p50/plain" in out, out)
+
+        cur = identical_run("ident_row_gone",
+                            fsynclat_rows(100.0, 50_000, 200_000), legacy[:1])
+        rc, out = run_trend(cur, identical=ref)
+        check("--identical fails on a row missing from DIR",
+              rc == 2 and "legacy/Bento-scaling/seq: row missing from DIR"
+              in out, out)
+        rc, out = run_trend(ref, identical=cur)
+        check("--identical fails on a row missing from OTHER_DIR",
+              rc == 2 and "row missing from OTHER_DIR" in out, out)
+
+        cur = identical_run("ident_extra_report",
+                            fsynclat_rows(100.0, 50_000, 200_000), legacy,
+                            extra=("table4", "ops/s", []))
+        rc, out = run_trend(cur, identical=ref)
+        check("--identical fails on a report missing from OTHER_DIR",
+              rc == 2 and "table4: report missing from OTHER_DIR" in out,
+              out)
+
+        cur = identical_run("ident_unit", fsynclat_rows(100.0, 50_000,
+                                                        200_000), legacy)
+        write_report(cur, "legacy", "ops/s", legacy)
+        rc, out = run_trend(cur, identical=ref)
+        check("--identical fails on a changed report field",
+              rc == 2 and "legacy: field 'unit'" in out, out)
 
     if failures:
         for name, detail in failures:

@@ -22,8 +22,15 @@ script FAILS (exit 2) on any regression beyond --fail-threshold (default
 Legacy (schema v1) rows carry no tags; those gate exactly as before: rows
 of reports whose unit is MBps, excluding ratio/count series, gate "up".
 
+With --identical OTHER_DIR the script instead demands that DIR and
+OTHER_DIR hold the same results: it FAILS (exit 2) if any report or row is
+missing on either side, or any report field or row value differs. A
+change that only makes the simulator faster must pass this against the
+parent's bench output.
+
 Usage: trend.py [--dir DIR] [--out-json PATH] [--out-md PATH]
                [--baseline PATH] [--fail-threshold FRAC]
+               [--identical OTHER_DIR]
 DIR defaults to the current directory (where the benches were run).
 Stdlib only; no third-party dependencies.
 """
@@ -202,6 +209,46 @@ def check_regressions(reports, baseline_path, threshold):
     return regressions
 
 
+def identical_diffs(reports, other_reports):
+    """Every difference between two runs, one line each: reports or rows
+    present on one side only, report fields or row values that differ."""
+    def index(reps):
+        out = {}
+        for rep in reps:
+            rows, seen = {}, {}
+            for row in rep["rows"]:
+                key = (row["series"], row["label"])
+                seen[key] = seen.get(key, 0) + 1
+                rows[key + (seen[key],)] = row
+            meta = {k: v for k, v in rep.items() if k != "rows"}
+            out[rep["bench"]] = (meta, rows)
+        return out
+
+    mine, theirs = index(reports), index(other_reports)
+    diffs = []
+    for bench in sorted(mine.keys() | theirs.keys()):
+        if bench not in theirs or bench not in mine:
+            side = "OTHER_DIR" if bench not in theirs else "DIR"
+            diffs.append(f"{bench}: report missing from {side}")
+            continue
+        (meta, rows), (ometa, orows) = mine[bench], theirs[bench]
+        for k in sorted(meta.keys() | ometa.keys()):
+            if meta.get(k) != ometa.get(k):
+                diffs.append(f"{bench}: field {k!r}: {ometa.get(k)!r} -> "
+                             f"{meta.get(k)!r}")
+        for key in sorted(rows.keys() | orows.keys(), key=repr):
+            name = f"{bench}/{key[0]}/{key[1]}"
+            if key not in orows or key not in rows:
+                side = "OTHER_DIR" if key not in orows else "DIR"
+                diffs.append(f"{name}: row missing from {side}")
+            elif rows[key] != orows[key]:
+                a, b = orows[key], rows[key]
+                if a.get("value") != b.get("value"):
+                    a, b = a.get("value"), b.get("value")
+                diffs.append(f"{name}: {a!r} -> {b!r}")
+    return diffs
+
+
 def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("--dir", default=".")
@@ -212,6 +259,9 @@ def main():
     ap.add_argument("--fail-threshold", type=float, default=0.10,
                     help="relative change that fails the gate (drop for "
                          "direction=up rows, rise for direction=down rows)")
+    ap.add_argument("--identical", metavar="OTHER_DIR", default=None,
+                    help="fail unless OTHER_DIR's reports match DIR's "
+                         "exactly (host-only changes)")
     args = ap.parse_args()
 
     out_json = args.out_json or os.path.join(args.dir, "BENCH_TREND.json")
@@ -232,6 +282,16 @@ def main():
         f.write(render_markdown(reports))
     print(f"trend.py: aggregated {len(reports)} benches -> "
           f"{out_json}, {out_md}")
+
+    if args.identical:
+        diffs = identical_diffs(reports, load_reports(args.identical))
+        if diffs:
+            for d in diffs:
+                print(f"trend.py: DIFFERS {d}", file=sys.stderr)
+            return 2
+        nrows = sum(len(r["rows"]) for r in reports)
+        print(f"trend.py: identical to {args.identical} "
+              f"({len(reports)} reports, {nrows} rows)")
 
     if args.baseline:
         regressions = check_regressions(reports, args.baseline,

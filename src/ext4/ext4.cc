@@ -4,6 +4,7 @@
 #include <cassert>
 #include <cstring>
 
+#include "kernel/bitmap.h"
 #include "kernel/mount_options.h"
 #include "sim/cost_model.h"
 #include "sim/thread.h"
@@ -465,10 +466,9 @@ Result<std::uint32_t> Ext4Mount::ialloc(std::uint16_t type,
     if (!bh.ok()) return bh.error();
     auto bytes = bh.value()->bytes();
     sim::charge(400);  // bitmap word scan, constant-ish
-    for (std::uint32_t i = 0; i < super_.inodes_per_group; ++i) {
-      if ((bytes[i / 8] & (std::byte{1} << (i % 8))) != std::byte{0}) {
-        continue;
-      }
+    const std::uint32_t i = static_cast<std::uint32_t>(
+        kern::find_next_zero_bit(bytes, 0, super_.inodes_per_group));
+    if (i < super_.inodes_per_group) {
       bytes[i / 8] |= std::byte{1} << (i % 8);
       bc.mark_dirty(bh.value());
       j_write(groups_[g].inode_bitmap);
@@ -522,11 +522,10 @@ Result<std::uint32_t> Ext4Mount::balloc(std::uint32_t goal_group) {
     sim::charge(400);
     const std::uint32_t base = super_.first_group + g * super_.blocks_per_group;
     const std::uint32_t first_data = gd.data_start - base;
-    for (std::uint32_t i = first_data;
-         i < first_data + gd.data_blocks; ++i) {
-      if ((bytes[i / 8] & (std::byte{1} << (i % 8))) != std::byte{0}) {
-        continue;
-      }
+    const std::uint32_t end = first_data + gd.data_blocks;
+    const std::uint32_t i = static_cast<std::uint32_t>(
+        kern::find_next_zero_bit(bytes, first_data, end));
+    if (i < end) {
       bytes[i / 8] |= std::byte{1} << (i % 8);
       bc.mark_dirty(bh.value());
       j_write(gd.block_bitmap);

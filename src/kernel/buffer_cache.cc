@@ -96,13 +96,11 @@ Result<BufferHead*> BufferCache::lookup_or_create(std::uint64_t blockno) {
   auto it = map_.find(blockno);
   if (it != map_.end()) {
     stats_.hits += 1;
-    auto pos = lru_pos_.find(blockno);
-    if (pos != lru_pos_.end()) lru_.erase(pos->second);
-    lru_.push_front(blockno);
-    lru_pos_[blockno] = lru_.begin();
-    it->second->refcount += 1;
+    BufferHead* bh = it->second.get();
+    lru_.splice(lru_.begin(), lru_, bh->lru_pos);
+    bh->refcount += 1;
     outstanding_refs_ += 1;
-    return it->second.get();
+    return bh;
   }
 
   stats_.misses += 1;
@@ -114,8 +112,8 @@ Result<BufferHead*> BufferCache::lookup_or_create(std::uint64_t blockno) {
   outstanding_refs_ += 1;
   BufferHead* raw = bh.get();
   map_.emplace(blockno, std::move(bh));
-  lru_.push_front(blockno);
-  lru_pos_[blockno] = lru_.begin();
+  lru_.push_front(raw);
+  raw->lru_pos = lru_.begin();
   return raw;
 }
 
@@ -287,11 +285,7 @@ void BufferCache::issue_flush() { dev_.flush(); }
 void BufferCache::invalidate() {
   for (auto it = map_.begin(); it != map_.end();) {
     if (it->second->refcount == 0 && !it->second->dirty) {
-      auto pos = lru_pos_.find(it->first);
-      if (pos != lru_pos_.end()) {
-        lru_.erase(pos->second);
-        lru_pos_.erase(pos);
-      }
+      lru_.erase(it->second->lru_pos);
       it = map_.erase(it);
     } else {
       ++it;
@@ -303,16 +297,13 @@ void BufferCache::evict_if_needed() {
   if (capacity_ == 0 || map_.size() < capacity_) return;
   // Walk from the LRU end looking for an evictable (unreferenced) buffer.
   for (auto it = lru_.rbegin(); it != lru_.rend(); ++it) {
-    const std::uint64_t blockno = *it;
-    auto mit = map_.find(blockno);
-    assert(mit != map_.end());
-    BufferHead* bh = mit->second.get();
+    BufferHead* bh = *it;
     if (bh->refcount > 0) continue;
     // Journal-pinned victims must not be written outside their commit
     // (WAL): they stay.
     if (bh->jdirty) continue;
     if (bh->dirty) {
-      blk::Bio bio = blk::Bio::single_write(blockno, bh->bytes());
+      blk::Bio bio = blk::Bio::single_write(bh->blockno, bh->bytes());
       dev_.submit(bio);
       set_clean(bh);
       // A write the crash model swallowed is not a writeback — but the
@@ -321,9 +312,9 @@ void BufferCache::evict_if_needed() {
       if (bio.applied) stats_.writebacks += 1;
     }
     stats_.evictions += 1;
-    lru_.erase(std::next(it).base());
-    lru_pos_.erase(blockno);
-    map_.erase(mit);
+    const std::uint64_t blockno = bh->blockno;  // erase destroys bh
+    lru_.erase(bh->lru_pos);
+    map_.erase(blockno);
     return;
   }
   // Everything referenced: allow temporary overshoot (kernel would block).

@@ -40,6 +40,8 @@ struct BufferHead {
   bool jdirty = false;
   int refcount = 0;
   BufferCache* cache = nullptr;
+  /// This buffer's place in the cache's LRU list (owned by the cache).
+  std::list<BufferHead*>::iterator lru_pos;
   std::array<std::byte, blk::kBlockSize> data{};
 
   [[nodiscard]] std::span<std::byte> bytes() { return {data.data(), data.size()}; }
@@ -194,6 +196,10 @@ class BufferCache {
 
   [[nodiscard]] const BufferCacheStats& stats() const { return stats_; }
   [[nodiscard]] std::size_t cached_blocks() const { return map_.size(); }
+  /// Whether `blockno` has a buffer; untimed, and touches no LRU state.
+  [[nodiscard]] bool cached(std::uint64_t blockno) const {
+    return map_.contains(blockno);
+  }
   /// Currently dirty buffers (the flusher's wake threshold input).
   [[nodiscard]] std::size_t nr_dirty() const { return nr_dirty_; }
   /// Dirty buffers bound to one member device of a striped volume
@@ -246,8 +252,7 @@ class BufferCache {
   std::vector<ErrSeq> wb_err_;
   Err wb_last_err_ = Err::Ok;
   std::unordered_map<std::uint64_t, std::unique_ptr<BufferHead>> map_;
-  std::list<std::uint64_t> lru_;  // front = most recent
-  std::unordered_map<std::uint64_t, std::list<std::uint64_t>::iterator> lru_pos_;
+  std::list<BufferHead*> lru_;  // front = most recent
   sim::SimMutex lock_;
   std::uint64_t outstanding_refs_ = 0;
   std::size_t nr_dirty_ = 0;

@@ -4,6 +4,7 @@
 #include <cassert>
 #include <cstring>
 
+#include "kernel/bitmap.h"
 #include "sim/cost_model.h"
 #include "sim/thread.h"
 
@@ -145,19 +146,27 @@ Result<std::uint32_t> Xv6FileSystem::ialloc(Cap& sb, InodeKind kind,
                                             std::uint32_t mode) {
   bento::SemGuard guard(alloc_lock_);
   // xv6's linear scan over the inode table: cost grows with live files.
+  // The per-inode cost is charged once per inode block for the inodes
+  // examined in it; under alloc_lock_ the charge is unscaled, so the sum
+  // is exactly the per-inode charges it replaces.
   const std::uint32_t ninodeblocks =
       (dsb_.ninodes + kInodesPerBlock - 1) / kInodesPerBlock;
+  const auto charge_scan = [](std::uint32_t examined) {
+    sim::charge(examined * sim::costs().ialloc_scan_per_inode);
+  };
   for (std::uint32_t b = 0; b < ninodeblocks; ++b) {
     auto bh = sb.bread(dsb_.inodestart + b);
     if (!bh.ok()) return bh.error();
     auto* dinodes = reinterpret_cast<Dinode*>(bh.value().data().data());
+    std::uint32_t examined = 0;
     for (std::uint32_t i = 0; i < kInodesPerBlock; ++i) {
       const std::uint32_t inum = b * kInodesPerBlock + i;
       if (inum == 0 || inum >= dsb_.ninodes) continue;
-      sim::charge(sim::costs().ialloc_scan_per_inode);
+      examined += 1;
       if (dinodes[i].type != static_cast<std::uint16_t>(InodeKind::Free)) {
         continue;
       }
+      charge_scan(examined);
       dinodes[i] = Dinode{};
       dinodes[i].type = static_cast<std::uint16_t>(kind);
       dinodes[i].nlink = 1;
@@ -175,6 +184,7 @@ Result<std::uint32_t> Xv6FileSystem::ialloc(Cap& sb, InodeKind kind,
       itable_[inum] = std::move(mi);
       return inum;
     }
+    charge_scan(examined);
   }
   return Err::NoSpc;
 }
@@ -197,14 +207,11 @@ Result<std::uint32_t> Xv6FileSystem::balloc(Cap& sb) {
     if (!bh.ok()) return bh.error();
     auto bytes = bh.value().data();
     sim::charge(300);  // bit scan within the block
-    for (std::uint32_t i = 0; i < kBitsPerBlock; ++i) {
+    const auto [first, last] = dsb_.data_bits(bi);
+    const std::size_t i = kern::find_next_zero_bit(bytes, first, last);
+    if (i < last) {
       const std::uint64_t blockno =
           static_cast<std::uint64_t>(bi) * kBitsPerBlock + i;
-      if (blockno >= dsb_.size) break;
-      if (blockno < dsb_.datastart) continue;
-      if ((bytes[i / 8] & (std::byte{1} << (i % 8))) != std::byte{0}) {
-        continue;
-      }
       bytes[i / 8] |= std::byte{1} << (i % 8);
       bh.value().set_dirty();
       log_.log_write(sb, dsb_.bmapstart + bi);

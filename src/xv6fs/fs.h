@@ -14,7 +14,9 @@
 //   - file data goes through the log too (hence the ext4 data=journal
 //     comparison in §6);
 //   - ialloc does xv6's linear scan over the inode table, so creates slow
-//     down as the file count grows;
+//     down as the file count grows: every inode block is read, and the
+//     per-inode scan cost is charged for each inode examined (summed per
+//     block; the total is the same as charging inode by inode);
 //   - inode and block allocation are protected by locks the paper added
 //     (§6.1).
 #pragma once

@@ -14,8 +14,10 @@
 // identical" file systems.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
+#include <utility>
 
 #include "blockdev/device.h"
 
@@ -83,6 +85,17 @@ struct DiskSuperblock {
   }
   [[nodiscard]] std::uint32_t bitmap_block(std::uint32_t blockno) const {
     return bmapstart + blockno / kBitsPerBlock;
+  }
+  /// The bits [first, last) of bitmap block `bi` that stand for data
+  /// blocks; bit i is block bi * kBitsPerBlock + i.
+  [[nodiscard]] std::pair<std::uint32_t, std::uint32_t> data_bits(
+      std::uint32_t bi) const {
+    const std::uint64_t base = static_cast<std::uint64_t>(bi) * kBitsPerBlock;
+    const auto last = static_cast<std::uint32_t>(
+        std::clamp<std::uint64_t>(size, base, base + kBitsPerBlock) - base);
+    const auto first = static_cast<std::uint32_t>(
+        std::clamp<std::uint64_t>(datastart, base, base + last) - base);
+    return {first, last};
   }
 };
 

@@ -7,6 +7,7 @@
 #include <cassert>
 #include <cstring>
 
+#include "kernel/bitmap.h"
 #include "kernel/flusher.h"
 #include "kernel/mount_options.h"
 #include "sim/cost_model.h"
@@ -320,15 +321,22 @@ Result<std::uint32_t> Xv6cMount::ialloc(InodeKind kind, std::uint32_t mode) {
   auto& bc = sb_->bufcache();
   const std::uint32_t niblocks =
       (dsb_.ninodes + kInodesPerBlock - 1) / kInodesPerBlock;
+  // Scan cost is charged per inode block for the inodes examined in it
+  // (unscaled under alloc_lock_, so the same total as per inode).
+  const auto charge_scan = [](std::uint32_t examined) {
+    sim::charge(examined * sim::costs().ialloc_scan_per_inode);
+  };
   for (std::uint32_t b = 0; b < niblocks; ++b) {
     auto bh = bc.bread(dsb_.inodestart + b);
     if (!bh.ok()) return bh.error();
     auto* di = reinterpret_cast<Dinode*>(bh.value()->bytes().data());
+    std::uint32_t examined = 0;
     for (std::uint32_t i = 0; i < kInodesPerBlock; ++i) {
       const std::uint32_t inum = b * kInodesPerBlock + i;
       if (inum == 0 || inum >= dsb_.ninodes) continue;
-      sim::charge(sim::costs().ialloc_scan_per_inode);
+      examined += 1;
       if (di[i].type != kFree) continue;
+      charge_scan(examined);
       di[i] = Dinode{};
       di[i].type = static_cast<std::uint16_t>(kind);
       di[i].nlink = 1;
@@ -339,6 +347,7 @@ Result<std::uint32_t> Xv6cMount::ialloc(InodeKind kind, std::uint32_t mode) {
       free_inodes_ -= 1;
       return inum;
     }
+    charge_scan(examined);
     bc.brelse(bh.value());
   }
   return Err::NoSpc;
@@ -353,12 +362,11 @@ Result<std::uint32_t> Xv6cMount::balloc() {
     if (!bh.ok()) return bh.error();
     auto bytes = bh.value()->bytes();
     sim::charge(300);
-    for (std::uint32_t i = 0; i < xv6::kBitsPerBlock; ++i) {
+    const auto [first, last] = dsb_.data_bits(bi);
+    const std::size_t i = kern::find_next_zero_bit(bytes, first, last);
+    if (i < last) {
       const std::uint64_t blockno =
           static_cast<std::uint64_t>(bi) * xv6::kBitsPerBlock + i;
-      if (blockno >= dsb_.size) break;
-      if (blockno < dsb_.datastart) continue;
-      if ((bytes[i / 8] & (std::byte{1} << (i % 8))) != std::byte{0}) continue;
       bytes[i / 8] |= std::byte{1} << (i % 8);
       bc.mark_dirty(bh.value());
       log_write(dsb_.bmapstart + bi);

@@ -4,6 +4,7 @@
 
 #include <array>
 #include <cstring>
+#include <set>
 #include <vector>
 
 #include "kernel/buffer_cache.h"
@@ -137,6 +138,115 @@ TEST_F(BufferCacheTest, ReferencedBuffersAreNotEvicted) {
   EXPECT_EQ(again.value(), pinned.value());
   cache.brelse(again.value());
   cache.brelse(pinned.value());
+}
+
+// ---- exact LRU victim order ----
+
+/// Blocks currently cached (the fixture device has 256 blocks).
+std::set<std::uint64_t> resident(const BufferCache& cache) {
+  std::set<std::uint64_t> out;
+  for (std::uint64_t b = 0; b < 256; ++b) {
+    if (cache.cached(b)) out.insert(b);
+  }
+  return out;
+}
+
+/// Miss on `blockno` in a full cache and return the one block it evicted.
+std::uint64_t evicted_by_miss(BufferCache& cache, std::uint64_t blockno) {
+  const std::set<std::uint64_t> before = resident(cache);
+  EXPECT_FALSE(before.contains(blockno));
+  auto bh = cache.bread(blockno);
+  EXPECT_TRUE(bh.ok());
+  if (bh.ok()) cache.brelse(bh.value());
+  const std::set<std::uint64_t> after = resident(cache);
+  std::vector<std::uint64_t> gone;
+  for (const std::uint64_t b : before) {
+    if (!after.contains(b)) gone.push_back(b);
+  }
+  EXPECT_EQ(gone.size(), 1u) << "miss on " << blockno;
+  return gone.empty() ? ~std::uint64_t{0} : gone.front();
+}
+
+void touch(BufferCache& cache, std::uint64_t blockno) {
+  auto bh = cache.bread(blockno);
+  ASSERT_TRUE(bh.ok());
+  cache.brelse(bh.value());
+}
+
+TEST_F(BufferCacheTest, HitRefreshesRecency) {
+  BufferCache cache(dev_, 4);
+  for (std::uint64_t b = 0; b < 4; ++b) touch(cache, b);
+  touch(cache, 0);  // hit: 0 becomes most recent; LRU order is now 1 2 3 0
+  EXPECT_EQ(cache.stats().hits, 1u);
+  std::vector<std::uint64_t> victims;
+  for (std::uint64_t b = 10; b < 14; ++b) {
+    victims.push_back(evicted_by_miss(cache, b));
+  }
+  EXPECT_EQ(victims, (std::vector<std::uint64_t>{1, 2, 3, 0}));
+  EXPECT_EQ(cache.stats().evictions, 4u);
+}
+
+TEST_F(BufferCacheTest, EvictionSkipsReferencedAndJournalPinnedBuffers) {
+  BufferCache cache(dev_, 4);
+  auto held = cache.bread(0);  // referenced for the first rounds
+  ASSERT_TRUE(held.ok());
+  auto pinned = cache.bread(1);
+  ASSERT_TRUE(pinned.ok());
+  pinned.value()->bytes()[0] = std::byte{0x6A};
+  cache.mark_dirty(pinned.value());
+  cache.brelse(pinned.value());
+  cache.pin_journal(1, true);  // jdirty: owned by a running transaction
+  touch(cache, 2);
+  touch(cache, 3);
+
+  // LRU order 0 1 2 3: 0 is referenced and 1 journal-pinned, so the
+  // victims are the oldest of the rest, in order.
+  std::vector<std::uint64_t> victims;
+  for (std::uint64_t b = 10; b < 13; ++b) {
+    victims.push_back(evicted_by_miss(cache, b));
+  }
+  EXPECT_EQ(victims, (std::vector<std::uint64_t>{2, 3, 10}));
+
+  // Released and unpinned, 0 and 1 are again the two oldest; the dirty one
+  // is written back on its way out.
+  cache.brelse(held.value());
+  cache.pin_journal(1, false);
+  const auto writebacks = cache.stats().writebacks;
+  EXPECT_EQ(evicted_by_miss(cache, 20), 0u);
+  EXPECT_EQ(evicted_by_miss(cache, 21), 1u);
+  EXPECT_EQ(cache.stats().writebacks, writebacks + 1);
+  std::array<std::byte, blk::kBlockSize> r{};
+  dev_.read_untimed(1, r);
+  EXPECT_EQ(r[0], std::byte{0x6A});
+}
+
+TEST_F(BufferCacheTest, SurvivorsOfInvalidateEvictInLruOrder) {
+  BufferCache cache(dev_, 6);
+  for (std::uint64_t b = 0; b < 6; ++b) touch(cache, b);
+  for (const std::uint64_t b : {1, 3}) {
+    auto bh = cache.bread(b);
+    ASSERT_TRUE(bh.ok());
+    cache.mark_dirty(bh.value());
+    cache.brelse(bh.value());
+  }
+  auto held = cache.bread(4);
+  ASSERT_TRUE(held.ok());
+  touch(cache, 1);  // LRU order: 0 2 5 3 4 1
+
+  // Clean, unreferenced 0, 2 and 5 go; dirty 3 and 1 and referenced 4 stay.
+  cache.invalidate();
+  EXPECT_EQ(resident(cache), (std::set<std::uint64_t>{1, 3, 4}));
+
+  for (std::uint64_t b = 10; b < 13; ++b) touch(cache, b);  // refill to 6
+  ASSERT_EQ(cache.cached_blocks(), 6u);
+  std::vector<std::uint64_t> victims;
+  for (std::uint64_t b = 20; b < 23; ++b) {
+    victims.push_back(evicted_by_miss(cache, b));
+  }
+  // Survivors keep their relative order (3 before 1); referenced 4 stays.
+  EXPECT_EQ(victims, (std::vector<std::uint64_t>{3, 1, 10}));
+  EXPECT_TRUE(cache.cached(4));
+  cache.brelse(held.value());
 }
 
 TEST_F(BufferCacheTest, OutstandingRefsTracked) {
