@@ -50,15 +50,16 @@ UserBlockBackend::~UserBlockBackend() = default;
 kern::Result<UserBlockBackend::UserBuf*> UserBlockBackend::get_buf(
     std::uint64_t blockno, bool read) {
   if (blockno >= nblocks_) return kern::Err::Io;
-  auto it = cache_.find(blockno);
-  if (it == cache_.end()) {
-    evict_if_needed();
-    auto buf = std::make_unique<UserBuf>();
-    buf->blockno = blockno;
-    it = cache_.emplace(blockno, std::move(buf)).first;
+  if (blockno >= cache_.size()) cache_.resize(blockno + 1);
+  std::unique_ptr<UserBuf>& slot = cache_[blockno];
+  if (slot == nullptr) {
+    evict_if_needed();  // frees another slot; cache_ keeps its size
+    slot = std::make_unique<UserBuf>();
+    slot->blockno = blockno;
+    nr_cached_ += 1;
     lru_.push_front(blockno);
   }
-  UserBuf* buf = it->second.get();
+  UserBuf* buf = slot.get();
   if (read && !buf->uptodate) {
     auto r = kernel_->pread(*proc_, fd_, {buf->data.data(), buf->data.size()},
                             blockno * blk::kBlockSize);
@@ -71,13 +72,9 @@ kern::Result<UserBlockBackend::UserBuf*> UserBlockBackend::get_buf(
 }
 
 void UserBlockBackend::evict_if_needed() {
-  if (cache_blocks_ == 0 || cache_.size() < cache_blocks_) return;
+  if (cache_blocks_ == 0 || nr_cached_ < cache_blocks_) return;
   for (auto it = lru_.rbegin(); it != lru_.rend(); ++it) {
-    auto mit = cache_.find(*it);
-    if (mit == cache_.end()) {
-      continue;
-    }
-    UserBuf* buf = mit->second.get();
+    UserBuf* buf = cache_[*it].get();
     if (buf->refcount > 0) continue;
     if (buf->dirty) {
       (void)kernel_->pwrite(*proc_, fd_,
@@ -85,8 +82,10 @@ void UserBlockBackend::evict_if_needed() {
                             buf->blockno * blk::kBlockSize);
       stats_.pwrites += 1;
     }
+    const std::uint64_t blockno = *it;
     lru_.erase(std::next(it).base());
-    cache_.erase(mit);
+    cache_[blockno].reset();
+    nr_cached_ -= 1;
     return;
   }
 }
@@ -167,8 +166,8 @@ void UserBlockBackend::bh_release(void* impl) {
 
 void UserBlockBackend::flush_all() {
   if (ring_ != nullptr) {
-    for (auto& [blockno, buf] : cache_) {
-      if (buf->dirty) {
+    for (auto& buf : cache_) {
+      if (buf != nullptr && buf->dirty) {
         ring_write(*buf);
         buf->dirty = false;
       }
@@ -176,10 +175,10 @@ void UserBlockBackend::flush_all() {
     ring_finish(/*fsync=*/true);
     return;
   }
-  for (auto& [blockno, buf] : cache_) {
-    if (buf->dirty) {
+  for (auto& buf : cache_) {
+    if (buf != nullptr && buf->dirty) {
       (void)kernel_->pwrite(*proc_, fd_, {buf->data.data(), buf->data.size()},
-                            blockno * blk::kBlockSize);
+                            buf->blockno * blk::kBlockSize);
       stats_.pwrites += 1;
       buf->dirty = false;
     }

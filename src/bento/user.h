@@ -17,6 +17,7 @@
 #include <list>
 #include <memory>
 #include <unordered_map>
+#include <vector>
 
 #include "bento/api.h"
 #include "kernel/kernel.h"
@@ -77,7 +78,10 @@ class UserBlockBackend final : public BlockBackend {
   int fd_;
   std::uint64_t nblocks_;
   std::size_t cache_blocks_;
-  std::unordered_map<std::uint64_t, std::unique_ptr<UserBuf>> cache_;
+  /// Cached buffers indexed by block number (null when not cached); grows
+  /// to the highest block touched so far.
+  std::vector<std::unique_ptr<UserBuf>> cache_;
+  std::size_t nr_cached_ = 0;
   std::list<std::uint64_t> lru_;
   std::unique_ptr<kern::IoUring> ring_;  // null unless use_uring
   Stats stats_;
@@ -104,8 +108,10 @@ class MemBlockBackend final : public BlockBackend {
 
  private:
   struct MemBuf {
-    int refcount = 0;
+    // Block data first, so it keeps the allocation's alignment: file
+    // systems read on-disk structs (Dinode) in place.
     std::array<std::byte, blk::kBlockSize> data{};
+    int refcount = 0;
   };
   std::uint64_t nblocks_;
   std::unordered_map<std::uint64_t, std::unique_ptr<MemBuf>> blocks_;

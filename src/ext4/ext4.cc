@@ -345,6 +345,8 @@ Err Ext4Mount::read_super() {
   if (super_.magic != kMagic) return Err::Inval;
 
   groups_.resize(super_.ngroups);
+  ifloor_.assign(super_.ngroups, 0);
+  bfloor_.assign(super_.ngroups, 0);
   for (std::uint32_t b = 0; b < super_.gdt_blocks; ++b) {
     auto gb = bc.bread(super_.gdt_start + b);
     if (!gb.ok()) return gb.error();
@@ -466,8 +468,8 @@ Result<std::uint32_t> Ext4Mount::ialloc(std::uint16_t type,
     if (!bh.ok()) return bh.error();
     auto bytes = bh.value()->bytes();
     sim::charge(400);  // bitmap word scan, constant-ish
-    const std::uint32_t i = static_cast<std::uint32_t>(
-        kern::find_next_zero_bit(bytes, 0, super_.inodes_per_group));
+    const auto i = static_cast<std::uint32_t>(kern::alloc_zero_bit(
+        bytes, 0, super_.inodes_per_group, ifloor_[g]));
     if (i < super_.inodes_per_group) {
       bytes[i / 8] |= std::byte{1} << (i % 8);
       bc.mark_dirty(bh.value());
@@ -502,6 +504,7 @@ Err Ext4Mount::ifree(std::uint32_t inum) {
   auto bh = bc.bread(groups_[g].inode_bitmap);
   if (!bh.ok()) return bh.error();
   bh.value()->bytes()[i / 8] &= ~(std::byte{1} << (i % 8));
+  ifloor_[g] = std::min(ifloor_[g], i);
   bc.mark_dirty(bh.value());
   j_write(groups_[g].inode_bitmap);
   bc.brelse(bh.value());
@@ -523,8 +526,8 @@ Result<std::uint32_t> Ext4Mount::balloc(std::uint32_t goal_group) {
     const std::uint32_t base = super_.first_group + g * super_.blocks_per_group;
     const std::uint32_t first_data = gd.data_start - base;
     const std::uint32_t end = first_data + gd.data_blocks;
-    const std::uint32_t i = static_cast<std::uint32_t>(
-        kern::find_next_zero_bit(bytes, first_data, end));
+    const auto i = static_cast<std::uint32_t>(
+        kern::alloc_zero_bit(bytes, first_data, end, bfloor_[g]));
     if (i < end) {
       bytes[i / 8] |= std::byte{1} << (i % 8);
       bc.mark_dirty(bh.value());
@@ -555,6 +558,7 @@ Err Ext4Mount::bfree(std::uint32_t blockno) {
   auto bh = bc.bread(groups_[g].block_bitmap);
   if (!bh.ok()) return bh.error();
   bh.value()->bytes()[i / 8] &= ~(std::byte{1} << (i % 8));
+  bfloor_[g] = std::min(bfloor_[g], i);
   bc.mark_dirty(bh.value());
   j_write(groups_[g].block_bitmap);
   bc.brelse(bh.value());

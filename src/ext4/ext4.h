@@ -177,6 +177,11 @@ class Ext4Mount final : public kern::InodeOps,
   kern::SuperBlock* sb_;
   Super super_;
   std::vector<GroupDesc> groups_;  // in-core GDT
+  // Per-group allocation floors (host-only; see kern::alloc_zero_bit): no
+  // bit below ifloor_[g] / bfloor_[g] of group g's inode / block bitmap
+  // is clear.
+  std::vector<std::uint32_t> ifloor_;
+  std::vector<std::uint32_t> bfloor_;
   sim::SimMutex journal_lock_;
   sim::SimMutex alloc_lock_;
   std::vector<std::uint32_t> running_txn_;   // tagged home blocknos

@@ -1,7 +1,7 @@
 // Free-bit search over an on-disk allocation bitmap (Linux's
 // find_next_zero_bit). Every allocator in the tree stores bit i of a
-// bitmap block at byte i / 8, bit i % 8 (LSB first); this helper is the
-// one scan they share.
+// bitmap block at byte i / 8, bit i % 8 (LSB first); these helpers are
+// the one scan they share.
 //
 // The search is host-side only: it examines 64 bits per step, skipping
 // all-ones words, and returns exactly the bit a bit-by-bit loop over
@@ -43,6 +43,21 @@ inline std::size_t find_next_zero_bit(std::span<const std::byte> bits,
     i += 64 - shift;
   }
   return end;
+}
+
+/// The allocating form of find_next_zero_bit, for a caller that sets the
+/// bit it gets back. `floor` is a host-side lower bound kept per bitmap:
+/// every bit in [begin, floor) is set. The search starts at the floor,
+/// which then moves past the returned bit (to `end` when none is clear).
+/// A caller that clears a bit must lower the floor to it; the result is
+/// then always the bit a search from `begin` returns.
+inline std::size_t alloc_zero_bit(std::span<const std::byte> bits,
+                                  std::size_t begin, std::size_t end,
+                                  std::uint32_t& floor) {
+  const std::size_t i =
+      find_next_zero_bit(bits, std::max<std::size_t>(begin, floor), end);
+  floor = static_cast<std::uint32_t>(i < end ? i + 1 : end);
+  return i;
 }
 
 }  // namespace bsim::kern

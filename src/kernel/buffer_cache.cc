@@ -93,10 +93,8 @@ Result<BufferHead*> BufferCache::lookup_or_create(std::uint64_t blockno) {
   sim::ScopedLock guard(lock_);
   sim::charge(sim::costs().buffer_lookup);
 
-  auto it = map_.find(blockno);
-  if (it != map_.end()) {
+  if (BufferHead* bh = find(blockno); bh != nullptr) {
     stats_.hits += 1;
-    BufferHead* bh = it->second.get();
     lru_.splice(lru_.begin(), lru_, bh->lru_pos);
     bh->refcount += 1;
     outstanding_refs_ += 1;
@@ -111,7 +109,9 @@ Result<BufferHead*> BufferCache::lookup_or_create(std::uint64_t blockno) {
   bh->refcount = 1;
   outstanding_refs_ += 1;
   BufferHead* raw = bh.get();
-  map_.emplace(blockno, std::move(bh));
+  if (blockno >= index_.size()) index_.resize(blockno + 1);
+  index_[blockno] = std::move(bh);
+  nr_cached_ += 1;
   lru_.push_front(raw);
   raw->lru_pos = lru_.begin();
   return raw;
@@ -184,9 +184,9 @@ void BufferCache::retire_batch(std::span<BufferHead* const> bhs,
 }
 
 void BufferCache::pin_journal(std::uint64_t blockno, bool pin) {
-  auto it = map_.find(blockno);
-  if (it == map_.end()) return;
-  it->second->jdirty = pin && it->second->dirty;
+  BufferHead* bh = find(blockno);
+  if (bh == nullptr) return;
+  bh->jdirty = pin && bh->dirty;
 }
 
 std::vector<BufferHead*> BufferCache::collect_dirty(std::size_t shard,
@@ -203,16 +203,16 @@ std::vector<BufferHead*> BufferCache::collect_dirty(std::size_t shard,
   for (const std::uint64_t blockno : dirty_index_) {
     stats_.dirty_scanned += 1;
     if (nshards > 1 && dev_.child_of(blockno) % nshards != shard) continue;
-    auto it = map_.find(blockno);
-    assert(it != map_.end() && it->second->dirty);
+    BufferHead* bh = find(blockno);
+    assert(bh != nullptr && bh->dirty);
     // A journal-pinned buffer belongs to an uncommitted transaction:
     // writing it here would put unjournaled state on media ahead of its
     // commit record (WAL violation). The commit path writes it.
-    if (it->second->jdirty) {
+    if (bh->jdirty) {
       stats_.jdirty_skipped += 1;
       continue;
     }
-    dirty.push_back(it->second.get());
+    dirty.push_back(bh);
   }
   return dirty;
 }
@@ -283,10 +283,12 @@ std::size_t BufferCache::flush_dirty_async(std::size_t max_batch,
 void BufferCache::issue_flush() { dev_.flush(); }
 
 void BufferCache::invalidate() {
-  for (auto it = map_.begin(); it != map_.end();) {
-    if (it->second->refcount == 0 && !it->second->dirty) {
-      lru_.erase(it->second->lru_pos);
-      it = map_.erase(it);
+  for (auto it = lru_.begin(); it != lru_.end();) {
+    BufferHead* bh = *it;
+    if (bh->refcount == 0 && !bh->dirty) {
+      it = lru_.erase(it);
+      index_[bh->blockno].reset();
+      nr_cached_ -= 1;
     } else {
       ++it;
     }
@@ -294,7 +296,7 @@ void BufferCache::invalidate() {
 }
 
 void BufferCache::evict_if_needed() {
-  if (capacity_ == 0 || map_.size() < capacity_) return;
+  if (capacity_ == 0 || nr_cached_ < capacity_) return;
   // Walk from the LRU end looking for an evictable (unreferenced) buffer.
   for (auto it = lru_.rbegin(); it != lru_.rend(); ++it) {
     BufferHead* bh = *it;
@@ -312,9 +314,9 @@ void BufferCache::evict_if_needed() {
       if (bio.applied) stats_.writebacks += 1;
     }
     stats_.evictions += 1;
-    const std::uint64_t blockno = bh->blockno;  // erase destroys bh
     lru_.erase(bh->lru_pos);
-    map_.erase(blockno);
+    nr_cached_ -= 1;
+    index_[bh->blockno].reset();  // destroys bh
     return;
   }
   // Everything referenced: allow temporary overshoot (kernel would block).

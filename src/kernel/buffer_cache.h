@@ -13,7 +13,6 @@
 #include <memory>
 #include <set>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "blockdev/device.h"
@@ -195,10 +194,10 @@ class BufferCache {
   void invalidate();
 
   [[nodiscard]] const BufferCacheStats& stats() const { return stats_; }
-  [[nodiscard]] std::size_t cached_blocks() const { return map_.size(); }
+  [[nodiscard]] std::size_t cached_blocks() const { return nr_cached_; }
   /// Whether `blockno` has a buffer; untimed, and touches no LRU state.
   [[nodiscard]] bool cached(std::uint64_t blockno) const {
-    return map_.contains(blockno);
+    return find(blockno) != nullptr;
   }
   /// Currently dirty buffers (the flusher's wake threshold input).
   [[nodiscard]] std::size_t nr_dirty() const { return nr_dirty_; }
@@ -213,6 +212,9 @@ class BufferCache {
   [[nodiscard]] std::uint64_t outstanding_refs() const { return outstanding_refs_; }
 
  private:
+  [[nodiscard]] BufferHead* find(std::uint64_t blockno) const {
+    return blockno < index_.size() ? index_[blockno].get() : nullptr;
+  }
   Result<BufferHead*> lookup_or_create(std::uint64_t blockno);
   void evict_if_needed();
   void set_clean(BufferHead* bh) {
@@ -251,7 +253,10 @@ class BufferCache {
   /// Per-member-device writeback error sequences (size fan_out()).
   std::vector<ErrSeq> wb_err_;
   Err wb_last_err_ = Err::Ok;
-  std::unordered_map<std::uint64_t, std::unique_ptr<BufferHead>> map_;
+  /// The buffer of each block, indexed by block number (null when not
+  /// cached). It grows to the highest block read so far.
+  std::vector<std::unique_ptr<BufferHead>> index_;
+  std::size_t nr_cached_ = 0;
   std::list<BufferHead*> lru_;  // front = most recent
   sim::SimMutex lock_;
   std::uint64_t outstanding_refs_ = 0;

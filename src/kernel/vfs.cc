@@ -139,33 +139,30 @@ void SuperBlock::iput(Inode* inode) {
 
 // ---- SuperBlock: dentry cache ----
 
-std::string SuperBlock::dkey(Inode& dir, std::string_view name) {
-  std::string key = std::to_string(dir.ino());
-  key.push_back('/');
-  key.append(name);
-  return key;
-}
-
 Inode* SuperBlock::dcache_lookup(Inode& dir, std::string_view name) {
-  auto it = dcache_.find(dkey(dir, name));
-  if (it == dcache_.end()) return nullptr;
+  const auto d = dcache_.find(dir.ino());
+  if (d == dcache_.end()) return nullptr;
+  const auto it = d->second.find(name);
+  if (it == d->second.end()) return nullptr;
   return iget_cached(it->second);
 }
 
 void SuperBlock::dcache_add(Inode& dir, std::string_view name, Ino child) {
-  dcache_[dkey(dir, name)] = child;
+  DirEntries& entries = dcache_[dir.ino()];
+  if (auto it = entries.find(name); it != entries.end()) {
+    it->second = child;
+  } else {
+    entries.emplace(name, child);
+  }
 }
 
 void SuperBlock::dcache_remove(Inode& dir, std::string_view name) {
-  dcache_.erase(dkey(dir, name));
-}
-
-void SuperBlock::dcache_drop_dir(Inode& dir) {
-  const std::string prefix = std::to_string(dir.ino()) + "/";
-  for (auto it = dcache_.begin(); it != dcache_.end();) {
-    if (it->first.starts_with(prefix)) it = dcache_.erase(it);
-    else ++it;
+  const auto d = dcache_.find(dir.ino());
+  if (d == dcache_.end()) return;
+  if (auto it = d->second.find(name); it != d->second.end()) {
+    d->second.erase(it);
   }
+  if (d->second.empty()) dcache_.erase(d);
 }
 
 Err SuperBlock::sync_all() {

@@ -187,7 +187,6 @@ class SuperBlock {
   Inode* dcache_lookup(Inode& dir, std::string_view name);
   void dcache_add(Inode& dir, std::string_view name, Ino child);
   void dcache_remove(Inode& dir, std::string_view name);
-  void dcache_drop_dir(Inode& dir);
 
   /// Write back all cached file pages + fs metadata (sync(2) path).
   /// Waits for the background flusher first, so "synced" is never earlier
@@ -250,7 +249,16 @@ class SuperBlock {
   }
 
  private:
-  static std::string dkey(Inode& dir, std::string_view name);
+  /// Hashes names as string_views, so a lookup needs no key string.
+  struct NameHash {
+    using is_transparent = void;
+    std::size_t operator()(std::string_view name) const {
+      return std::hash<std::string_view>{}(name);
+    }
+  };
+  /// One directory's cached entries: name -> child ino.
+  using DirEntries =
+      std::unordered_map<std::string, Ino, NameHash, std::equal_to<>>;
 
   bool read_only_ = false;
   Err fs_error_ = Err::Ok;
@@ -262,7 +270,7 @@ class SuperBlock {
 
   BufferCache bufcache_;
   std::unordered_map<Ino, std::unique_ptr<Inode>> icache_;
-  std::unordered_map<std::string, Ino> dcache_;
+  std::unordered_map<Ino, DirEntries> dcache_;  // keyed by directory ino
 };
 
 /// A mountable file system type (registered with the Kernel).

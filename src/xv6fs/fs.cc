@@ -60,6 +60,8 @@ Err Xv6FileSystem::init(const Request&, SbRef sb) {
   std::memcpy(&dsb_, bh.value().data().data(), sizeof(dsb_));
   if (dsb_.magic != kMagic) return Err::Inval;
   if (dsb_.size > sb->nblocks()) return Err::Inval;
+  ifloor_ = 0;
+  bfloor_.assign(dsb_.nbitmap, 0);
 
   BSIM_TRY(log_.init(sb.get(), dsb_, opts_.durability, opts_.log));
   BSIM_TRY(scan_free_counts(sb.get()));
@@ -137,6 +139,12 @@ Err Xv6FileSystem::iupdate(Cap& sb, MemInode& mi) {
   if (!bh.ok()) return bh.error();
   auto* dinodes = reinterpret_cast<Dinode*>(bh.value().data().data());
   dinodes[mi.inum % kInodesPerBlock] = mi.d;
+  // Lower the floor in the same step that frees the inode in the cached
+  // block: the bread above may wait, and an ialloc meanwhile may move the
+  // floor past an inode that is still in use.
+  if (mi.d.type == static_cast<std::uint16_t>(InodeKind::Free)) {
+    ifloor_ = std::min(ifloor_, mi.inum);
+  }
   bh.value().set_dirty();
   log_.log_write(sb, dsb_.inode_block(mi.inum));
   return Err::Ok;
@@ -148,7 +156,8 @@ Result<std::uint32_t> Xv6FileSystem::ialloc(Cap& sb, InodeKind kind,
   // xv6's linear scan over the inode table: cost grows with live files.
   // The per-inode cost is charged once per inode block for the inodes
   // examined in it; under alloc_lock_ the charge is unscaled, so the sum
-  // is exactly the per-inode charges it replaces.
+  // is exactly the per-inode charges it replaces. Inodes below ifloor_
+  // count as examined without being loaded (scan_inode_block).
   const std::uint32_t ninodeblocks =
       (dsb_.ninodes + kInodesPerBlock - 1) / kInodesPerBlock;
   const auto charge_scan = [](std::uint32_t examined) {
@@ -158,33 +167,27 @@ Result<std::uint32_t> Xv6FileSystem::ialloc(Cap& sb, InodeKind kind,
     auto bh = sb.bread(dsb_.inodestart + b);
     if (!bh.ok()) return bh.error();
     auto* dinodes = reinterpret_cast<Dinode*>(bh.value().data().data());
-    std::uint32_t examined = 0;
-    for (std::uint32_t i = 0; i < kInodesPerBlock; ++i) {
-      const std::uint32_t inum = b * kInodesPerBlock + i;
-      if (inum == 0 || inum >= dsb_.ninodes) continue;
-      examined += 1;
-      if (dinodes[i].type != static_cast<std::uint16_t>(InodeKind::Free)) {
-        continue;
-      }
-      charge_scan(examined);
-      dinodes[i] = Dinode{};
-      dinodes[i].type = static_cast<std::uint16_t>(kind);
-      dinodes[i].nlink = 1;
-      dinodes[i].mode = mode;
-      bh.value().set_dirty();
-      log_.log_write(sb, dsb_.inodestart + b);
-      free_inodes_ -= 1;
+    const InodeScan scan = scan_inode_block(dinodes, b, dsb_.ninodes, ifloor_);
+    charge_scan(scan.examined);
+    if (scan.inum == scan.end) continue;
+    const std::uint32_t inum = scan.inum;
+    Dinode& d = dinodes[inum % kInodesPerBlock];
+    d = Dinode{};
+    d.type = static_cast<std::uint16_t>(kind);
+    d.nlink = 1;
+    d.mode = mode;
+    bh.value().set_dirty();
+    log_.log_write(sb, dsb_.inodestart + b);
+    free_inodes_ -= 1;
 
-      // Refresh/insert the in-core copy.
-      bento::SemGuard tguard(itable_lock_);
-      auto mi = std::make_unique<MemInode>();
-      mi->inum = inum;
-      mi->valid = true;
-      mi->d = dinodes[i];
-      itable_[inum] = std::move(mi);
-      return inum;
-    }
-    charge_scan(examined);
+    // Refresh/insert the in-core copy.
+    bento::SemGuard tguard(itable_lock_);
+    auto mi = std::make_unique<MemInode>();
+    mi->inum = inum;
+    mi->valid = true;
+    mi->d = d;
+    itable_[inum] = std::move(mi);
+    return inum;
   }
   return Err::NoSpc;
 }
@@ -208,7 +211,8 @@ Result<std::uint32_t> Xv6FileSystem::balloc(Cap& sb) {
     auto bytes = bh.value().data();
     sim::charge(300);  // bit scan within the block
     const auto [first, last] = dsb_.data_bits(bi);
-    const std::size_t i = kern::find_next_zero_bit(bytes, first, last);
+    const std::size_t i =
+        kern::alloc_zero_bit(bytes, first, last, bfloor_[bi]);
     if (i < last) {
       const std::uint64_t blockno =
           static_cast<std::uint64_t>(bi) * kBitsPerBlock + i;
@@ -239,6 +243,8 @@ Err Xv6FileSystem::bfree(Cap& sb, std::uint32_t blockno) {
   assert((bytes[i / 8] & (std::byte{1} << (i % 8))) != std::byte{0} &&
          "freeing a free block");
   bytes[i / 8] &= ~(std::byte{1} << (i % 8));
+  std::uint32_t& floor = bfloor_[blockno / kBitsPerBlock];
+  floor = std::min(floor, i);
   bh.value().set_dirty();
   log_.log_write(sb, dsb_.bitmap_block(blockno));
   free_blocks_ += 1;
@@ -1188,6 +1194,8 @@ Err Xv6FileSystem::restore_state(const Request&, SbRef,
   free_blocks_ = *fb;
   free_inodes_ = *fi;
   balloc_hint_ = *hint;
+  ifloor_ = 0;
+  bfloor_.assign(dsb_.nbitmap, 0);
   restored_ = true;
   return Err::Ok;
 }

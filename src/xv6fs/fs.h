@@ -24,6 +24,7 @@
 #include <memory>
 #include <string>
 #include <unordered_map>
+#include <vector>
 
 #include "bento/api.h"
 #include "xv6fs/layout.h"
@@ -179,6 +180,12 @@ class Xv6FileSystem : public bento::FileSystem {
   std::uint64_t free_blocks_ = 0;
   std::uint64_t free_inodes_ = 0;
   std::uint32_t balloc_hint_ = 0;
+  // Allocation floors (host-only; see scan_inode_block and
+  // kern::alloc_zero_bit): no inode below ifloor_ is free, and no data
+  // bit below bfloor_[bi] of bitmap block bi is clear. Reset on init and
+  // on restore_state.
+  std::uint32_t ifloor_ = 0;
+  std::vector<std::uint32_t> bfloor_;
   bool restored_ = false;
 };
 

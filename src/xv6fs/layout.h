@@ -99,6 +99,33 @@ struct DiskSuperblock {
   }
 };
 
+/// One inode block's step of xv6's linear ialloc scan: the first free
+/// inode in inode block `b` (whose contents are `dinodes`) and how many
+/// inodes a full scan examines to reach it, which is what ialloc charges.
+/// `floor` is a host-side lower bound on the lowest free inode. Type checks
+/// start at it, and it moves up past the inodes found in use whenever no
+/// inode below this block can be free. The caller must allocate the inode
+/// returned, and must lower the floor to any inode it frees.
+struct InodeScan {
+  std::uint32_t inum = 0;  // the free inode, or `end` when none
+  std::uint32_t end = 0;   // one past the block's last inode
+  std::uint32_t examined = 0;
+};
+inline InodeScan scan_inode_block(const Dinode* dinodes, std::uint32_t b,
+                                  std::uint32_t ninodes,
+                                  std::uint32_t& floor) {
+  const std::uint32_t first = std::max(b * kInodesPerBlock, 1U);  // no inode 0
+  const std::uint32_t end = std::min((b + 1) * kInodesPerBlock, ninodes);
+  std::uint32_t inum = std::clamp(floor, first, end);
+  while (inum < end && dinodes[inum % kInodesPerBlock].type !=
+                           static_cast<std::uint16_t>(InodeKind::Free)) {
+    inum += 1;
+  }
+  const std::uint32_t past = inum < end ? inum + 1 : end;
+  if (first <= std::max(floor, 1U)) floor = std::max(floor, past);
+  return {inum, end, past - first};
+}
+
 /// Log header block (commit record). n == 0 means the log is empty.
 struct LogHeader {
   std::uint32_t n = 0;

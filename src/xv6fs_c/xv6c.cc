@@ -261,6 +261,7 @@ Err Xv6cMount::scan_free_counts() {
 
 Err Xv6cMount::mount_init() {
   BSIM_TRY(read_dsb());
+  bfloor_.assign(dsb_.nbitmap, 0);
   BSIM_TRY(log_recover());
   BSIM_TRY(scan_free_counts());
   auto root = iget(xv6::kRootInum);
@@ -306,6 +307,9 @@ Err Xv6cMount::iupdate(kern::Inode& inode) {
   if (!bh.ok()) return bh.error();
   auto* di = reinterpret_cast<Dinode*>(bh.value()->bytes().data());
   di[c->inum % kInodesPerBlock] = c->d;
+  // Lower the floor in the same step that frees the inode in the cached
+  // block (see xv6's iupdate).
+  if (c->d.type == kFree) ifloor_ = std::min(ifloor_, c->inum);
   bc.mark_dirty(bh.value());
   log_write(dsb_.inode_block(c->inum));
   bc.brelse(bh.value());
@@ -322,7 +326,8 @@ Result<std::uint32_t> Xv6cMount::ialloc(InodeKind kind, std::uint32_t mode) {
   const std::uint32_t niblocks =
       (dsb_.ninodes + kInodesPerBlock - 1) / kInodesPerBlock;
   // Scan cost is charged per inode block for the inodes examined in it
-  // (unscaled under alloc_lock_, so the same total as per inode).
+  // (unscaled under alloc_lock_, so the same total as per inode); inodes
+  // below ifloor_ count as examined without being loaded.
   const auto charge_scan = [](std::uint32_t examined) {
     sim::charge(examined * sim::costs().ialloc_scan_per_inode);
   };
@@ -330,25 +335,23 @@ Result<std::uint32_t> Xv6cMount::ialloc(InodeKind kind, std::uint32_t mode) {
     auto bh = bc.bread(dsb_.inodestart + b);
     if (!bh.ok()) return bh.error();
     auto* di = reinterpret_cast<Dinode*>(bh.value()->bytes().data());
-    std::uint32_t examined = 0;
-    for (std::uint32_t i = 0; i < kInodesPerBlock; ++i) {
-      const std::uint32_t inum = b * kInodesPerBlock + i;
-      if (inum == 0 || inum >= dsb_.ninodes) continue;
-      examined += 1;
-      if (di[i].type != kFree) continue;
-      charge_scan(examined);
-      di[i] = Dinode{};
-      di[i].type = static_cast<std::uint16_t>(kind);
-      di[i].nlink = 1;
-      di[i].mode = mode;
-      bc.mark_dirty(bh.value());
-      log_write(dsb_.inodestart + b);
+    const xv6::InodeScan scan =
+        xv6::scan_inode_block(di, b, dsb_.ninodes, ifloor_);
+    charge_scan(scan.examined);
+    if (scan.inum == scan.end) {
       bc.brelse(bh.value());
-      free_inodes_ -= 1;
-      return inum;
+      continue;
     }
-    charge_scan(examined);
+    Dinode& d = di[scan.inum % kInodesPerBlock];
+    d = Dinode{};
+    d.type = static_cast<std::uint16_t>(kind);
+    d.nlink = 1;
+    d.mode = mode;
+    bc.mark_dirty(bh.value());
+    log_write(dsb_.inodestart + b);
     bc.brelse(bh.value());
+    free_inodes_ -= 1;
+    return scan.inum;
   }
   return Err::NoSpc;
 }
@@ -363,7 +366,8 @@ Result<std::uint32_t> Xv6cMount::balloc() {
     auto bytes = bh.value()->bytes();
     sim::charge(300);
     const auto [first, last] = dsb_.data_bits(bi);
-    const std::size_t i = kern::find_next_zero_bit(bytes, first, last);
+    const std::size_t i =
+        kern::alloc_zero_bit(bytes, first, last, bfloor_[bi]);
     if (i < last) {
       const std::uint64_t blockno =
           static_cast<std::uint64_t>(bi) * xv6::kBitsPerBlock + i;
@@ -387,12 +391,15 @@ Result<std::uint32_t> Xv6cMount::balloc() {
 }
 
 Err Xv6cMount::bfree(std::uint32_t blockno) {
+  assert(blockno >= dsb_.datastart && blockno < dsb_.size);
   auto& bc = sb_->bufcache();
   auto bh = bc.bread(dsb_.bitmap_block(blockno));
   if (!bh.ok()) return bh.error();
   auto bytes = bh.value()->bytes();
   const std::uint32_t i = blockno % xv6::kBitsPerBlock;
   bytes[i / 8] &= ~(std::byte{1} << (i % 8));
+  std::uint32_t& floor = bfloor_[blockno / xv6::kBitsPerBlock];
+  floor = std::min(floor, i);
   bc.mark_dirty(bh.value());
   log_write(dsb_.bitmap_block(blockno));
   bc.brelse(bh.value());

@@ -17,6 +17,7 @@
 
 #include <string>
 #include <unordered_map>
+#include <vector>
 
 #include "kernel/kernel.h"
 #include "xv6fs/layout.h"
@@ -147,6 +148,11 @@ class Xv6cMount final : public kern::InodeOps,
   std::uint64_t free_blocks_ = 0;
   std::uint64_t free_inodes_ = 0;
   std::uint32_t balloc_hint_ = 0;
+  // Allocation floors (host-only; see xv6::scan_inode_block and
+  // kern::alloc_zero_bit): no inode below ifloor_ is free, and no data
+  // bit below bfloor_[bi] of bitmap block bi is clear.
+  std::uint32_t ifloor_ = 0;
+  std::vector<std::uint32_t> bfloor_;
 };
 
 /// Register the VFS C baseline ("xv6_vfs") with the kernel.

@@ -291,6 +291,63 @@ TEST_F(BufferCacheTest, BreadBeyondDeviceFails) {
   EXPECT_EQ(r.error(), Err::Io);
 }
 
+TEST_F(BufferCacheTest, BreadPastTheEndFailsAtEveryDistance) {
+  // The index is sized by the blocks read so far; a block number past the
+  // device must fail before it could grow it.
+  BufferCache cache(dev_, 16);
+  auto last = cache.bread(255);  // the fixture device's last block
+  ASSERT_TRUE(last.ok());
+  cache.brelse(last.value());
+  for (const std::uint64_t b : {std::uint64_t{256}, std::uint64_t{1} << 40,
+                                ~std::uint64_t{0}}) {
+    auto r = cache.bread(b);
+    ASSERT_FALSE(r.ok()) << b;
+    EXPECT_EQ(r.error(), Err::Io) << b;
+    auto g = cache.getblk(b);
+    ASSERT_FALSE(g.ok()) << b;
+    EXPECT_EQ(g.error(), Err::Io) << b;
+    EXPECT_FALSE(cache.cached(b)) << b;
+  }
+  const std::array<std::uint64_t, 2> batch{254, 256};
+  auto r = cache.bread_batch(batch);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.error(), Err::Io);
+  EXPECT_EQ(cache.outstanding_refs(), 0u);
+  EXPECT_EQ(cache.cached_blocks(), 2u);  // 255, and 254 from the batch
+  EXPECT_EQ(cache.stats().misses, 2u);
+}
+
+TEST_F(BufferCacheTest, CachedBlocksFollowsEvictionAndInvalidate) {
+  BufferCache cache(dev_, 4);
+  for (std::uint64_t b = 0; b < 4; ++b) touch(cache, b);
+  EXPECT_EQ(cache.cached_blocks(), 4u);
+  for (std::uint64_t b = 200; b < 206; ++b) touch(cache, b);
+  EXPECT_EQ(cache.cached_blocks(), 4u);  // each miss evicted one buffer
+  EXPECT_EQ(cache.stats().evictions, 6u);
+  EXPECT_EQ(resident(cache), (std::set<std::uint64_t>{202, 203, 204, 205}));
+
+  auto dirty = cache.bread(203);
+  ASSERT_TRUE(dirty.ok());
+  cache.mark_dirty(dirty.value());
+  cache.brelse(dirty.value());
+  auto held = cache.bread(205);
+  ASSERT_TRUE(held.ok());
+  cache.invalidate();  // drops clean, unreferenced 202 and 204
+  EXPECT_EQ(cache.cached_blocks(), 2u);
+  EXPECT_EQ(resident(cache), (std::set<std::uint64_t>{203, 205}));
+
+  // A dropped block comes back as a miss and is counted again.
+  const auto misses = cache.stats().misses;
+  touch(cache, 202);
+  EXPECT_EQ(cache.stats().misses, misses + 1);
+  EXPECT_EQ(cache.cached_blocks(), 3u);
+  cache.brelse(held.value());
+  cache.sync_all();
+  cache.invalidate();
+  EXPECT_EQ(cache.cached_blocks(), 0u);
+  EXPECT_TRUE(resident(cache).empty());
+}
+
 TEST_F(BufferCacheTest, WritebackScansOnlyDirtyBuffers) {
   // The O(dirty) regression for the old full-map walk: syncing a cache
   // holding many CLEAN buffers must examine only the dirty-block index.
