@@ -19,6 +19,9 @@ constexpr std::uint16_t kFree = 0;
 constexpr std::uint16_t kDir = 1;
 constexpr std::uint16_t kFile = 2;
 constexpr std::size_t kTxnCommitThreshold = 2048;  // blocks
+// Directory blocks are arrays of the DirSlots kern::BlockMap walks.
+static_assert(sizeof(Dirent) == sizeof(kern::DirSlot) &&
+              kDirNameLen == kern::kDirSlotNameLen);
 }  // namespace
 
 // ---- journal ----
@@ -389,6 +392,12 @@ std::uint64_t Ext4Mount::free_blocks_total() const {
   return total;
 }
 
+MapStats Ext4Mount::map_stats() const {
+  const kern::BlockMapCounts& c = tree_.counts();
+  return {c.bmap_calls, c.map_runs, c.map_run_blocks, c.map_indirect_reads,
+          readpages_calls_};
+}
+
 std::uint64_t Ext4Mount::free_inodes_total() const {
   std::uint64_t total = 0;
   for (const auto& g : groups_) total += g.free_inodes;
@@ -566,175 +575,14 @@ Err Ext4Mount::bfree(std::uint32_t blockno) {
   return gdt_update(g);
 }
 
-Result<std::uint32_t> Ext4Mount::bmap(kern::Inode& inode, std::uint64_t bn,
-                                      bool alloc) {
-  mstats_.bmap_calls += 1;
-  EInode* e = ei(inode);
-  auto& bc = sb_->bufcache();
-  if (bn >= kMaxFileBlocks) return Err::FBig;
-  const std::uint32_t goal = group_of_inode(e->inum) % super_.ngroups;
-
-  if (bn < kNDirect) {
-    std::uint32_t addr = e->d.addrs[bn];
-    if (addr == 0 && alloc) {
-      auto r = balloc(goal);
-      if (!r.ok()) return r;
-      addr = e->d.addrs[bn] = r.value();
-    }
-    return addr;
-  }
-  bn -= kNDirect;
-  if (bn < kNIndirect) {
-    if (e->d.indirect == 0) {
-      if (!alloc) return std::uint32_t{0};
-      auto r = balloc(goal);
-      if (!r.ok()) return r;
-      e->d.indirect = r.value();
-    }
-    auto bh = bc.bread(e->d.indirect);
-    if (!bh.ok()) return bh.error();
-    auto* ent = reinterpret_cast<std::uint32_t*>(bh.value()->bytes().data());
-    std::uint32_t addr = ent[bn];
-    if (addr == 0 && alloc) {
-      auto r = balloc(goal);
-      if (!r.ok()) {
-        bc.brelse(bh.value());
-        return r;
-      }
-      addr = ent[bn] = r.value();
-      bc.mark_dirty(bh.value());
-      j_write(e->d.indirect);
-    }
-    bc.brelse(bh.value());
-    return addr;
-  }
-  bn -= kNIndirect;
-  if (e->d.dindirect == 0) {
-    if (!alloc) return std::uint32_t{0};
-    auto r = balloc(goal);
-    if (!r.ok()) return r;
-    e->d.dindirect = r.value();
-  }
-  const std::uint64_t outer = bn / kNIndirect;
-  const std::uint64_t inner = bn % kNIndirect;
-  auto l1 = bc.bread(e->d.dindirect);
-  if (!l1.ok()) return l1.error();
-  auto* l1e = reinterpret_cast<std::uint32_t*>(l1.value()->bytes().data());
-  std::uint32_t mid = l1e[outer];
-  if (mid == 0) {
-    if (!alloc) {
-      bc.brelse(l1.value());
-      return std::uint32_t{0};
-    }
-    auto r = balloc(goal);
-    if (!r.ok()) {
-      bc.brelse(l1.value());
-      return r;
-    }
-    mid = l1e[outer] = r.value();
-    bc.mark_dirty(l1.value());
-    j_write(e->d.dindirect);
-  }
-  bc.brelse(l1.value());
-  auto l2 = bc.bread(mid);
-  if (!l2.ok()) return l2.error();
-  auto* l2e = reinterpret_cast<std::uint32_t*>(l2.value()->bytes().data());
-  std::uint32_t addr = l2e[inner];
-  if (addr == 0 && alloc) {
-    auto r = balloc(goal);
-    if (!r.ok()) {
-      bc.brelse(l2.value());
-      return r;
-    }
-    addr = l2e[inner] = r.value();
-    bc.mark_dirty(l2.value());
-    j_write(mid);
-  }
-  bc.brelse(l2.value());
-  return addr;
+kern::BlockSlots Ext4Mount::slots(EInode& e) const {
+  return {e.d.addrs, e.d.indirect, e.d.dindirect,
+          group_of_inode(e.inum) % super_.ngroups};
 }
 
 Err Ext4Mount::itrunc(kern::Inode& inode, std::uint64_t new_size) {
   EInode* e = ei(inode);
-  auto& bc = sb_->bufcache();
-  const std::uint64_t keep = (new_size + kBlockSize - 1) / kBlockSize;
-
-  for (std::uint64_t bn = keep; bn < kNDirect; ++bn) {
-    if (e->d.addrs[bn] != 0) {
-      BSIM_TRY(bfree(e->d.addrs[bn]));
-      e->d.addrs[bn] = 0;
-    }
-  }
-  if (e->d.indirect != 0) {
-    const std::uint64_t keep_ind = keep > kNDirect ? keep - kNDirect : 0;
-    auto bh = bc.bread(e->d.indirect);
-    if (!bh.ok()) return bh.error();
-    auto* ent = reinterpret_cast<std::uint32_t*>(bh.value()->bytes().data());
-    bool touched = false;
-    for (std::uint64_t i = keep_ind; i < kNIndirect; ++i) {
-      if (ent[i] != 0) {
-        BSIM_TRY(bfree(ent[i]));
-        ent[i] = 0;
-        touched = true;
-      }
-    }
-    if (touched) {
-      bc.mark_dirty(bh.value());
-      j_write(e->d.indirect);
-    }
-    bc.brelse(bh.value());
-    if (keep_ind == 0) {
-      BSIM_TRY(bfree(e->d.indirect));
-      e->d.indirect = 0;
-    }
-  }
-  if (e->d.dindirect != 0) {
-    const std::uint64_t base = kNDirect + kNIndirect;
-    const std::uint64_t keep_d = keep > base ? keep - base : 0;
-    auto l1 = bc.bread(e->d.dindirect);
-    if (!l1.ok()) return l1.error();
-    auto* l1e = reinterpret_cast<std::uint32_t*>(l1.value()->bytes().data());
-    bool l1t = false;
-    for (std::uint64_t outer = 0; outer < kNIndirect; ++outer) {
-      if (l1e[outer] == 0) continue;
-      const std::uint64_t first = outer * kNIndirect;
-      if (first + kNIndirect <= keep_d) continue;
-      auto l2 = bc.bread(l1e[outer]);
-      if (!l2.ok()) {
-        bc.brelse(l1.value());
-        return l2.error();
-      }
-      auto* l2e = reinterpret_cast<std::uint32_t*>(l2.value()->bytes().data());
-      bool l2t = false;
-      const std::uint64_t start = keep_d > first ? keep_d - first : 0;
-      for (std::uint64_t inner = start; inner < kNIndirect; ++inner) {
-        if (l2e[inner] != 0) {
-          BSIM_TRY(bfree(l2e[inner]));
-          l2e[inner] = 0;
-          l2t = true;
-        }
-      }
-      if (l2t) {
-        bc.mark_dirty(l2.value());
-        j_write(l1e[outer]);
-      }
-      bc.brelse(l2.value());
-      if (start == 0) {
-        BSIM_TRY(bfree(l1e[outer]));
-        l1e[outer] = 0;
-        l1t = true;
-      }
-    }
-    if (l1t) {
-      bc.mark_dirty(l1.value());
-      j_write(e->d.dindirect);
-    }
-    bc.brelse(l1.value());
-    if (keep_d == 0) {
-      BSIM_TRY(bfree(e->d.dindirect));
-      e->d.dindirect = 0;
-    }
-  }
+  BSIM_TRY(tree_.truncate(slots(*e), new_size));
   e->d.size = new_size;
   BSIM_TRY(iupdate(inode));
   op_seq_ += 1;
@@ -750,26 +598,18 @@ Result<Ext4Mount::DirIndex*> Ext4Mount::dir_index(kern::Inode& dir) {
     sim::charge(250);  // hashed lookup path (htree equivalent)
     return &idx;
   }
-  auto& bc = sb_->bufcache();
-  for (std::uint64_t off = 0; off < e->d.size; off += kBlockSize) {
-    auto addr = bmap(dir, off / kBlockSize, false);
-    if (!addr.ok()) return addr.error();
-    if (addr.value() == 0) continue;
-    auto bh = bc.bread(addr.value());
-    if (!bh.ok()) return bh.error();
-    const auto* de = reinterpret_cast<const Dirent*>(bh.value()->bytes().data());
-    const std::uint64_t nents = std::min<std::uint64_t>(
-        kDirentsPerBlock,
-        (e->d.size - off + sizeof(Dirent) - 1) / sizeof(Dirent));
-    for (std::uint64_t i = 0; i < nents; ++i) {
-      sim::charge(sim::costs().dir_scan_per_entry);
-      if (de[i].inum == 0) continue;
-      idx.entries.emplace(
-          std::string(de[i].name, strnlen(de[i].name, kDirNameLen)),
-          de[i].inum);
-    }
-    bc.brelse(bh.value());
-  }
+  auto scanned = tree_.scan_dir(
+      slots(*e), e->d.size,
+      [&](std::uint64_t, kern::BufferHead&, std::span<kern::DirSlot> ents) {
+        for (const kern::DirSlot& de : ents) {
+          sim::charge(sim::costs().dir_scan_per_entry);
+          if (de.inum != 0) {
+            idx.entries.emplace(std::string(de.name_view()), de.inum);
+          }
+        }
+        return false;
+      });
+  if (!scanned.ok()) return scanned.error();
   idx.built = true;
   return &idx;
 }
@@ -787,28 +627,8 @@ Result<std::uint32_t> Ext4Mount::dir_lookup(kern::Inode& dir,
 Err Ext4Mount::write_through_journal(kern::Inode& inode, std::uint64_t off,
                                      std::span<const std::byte> in) {
   EInode* e = ei(inode);
-  auto& bc = sb_->bufcache();
-  std::uint64_t done = 0;
-  while (done < in.size()) {
-    const std::uint64_t pos = off + done;
-    const std::uint64_t bn = pos / kBlockSize;
-    const std::size_t within = static_cast<std::size_t>(pos % kBlockSize);
-    const std::size_t chunk = static_cast<std::size_t>(
-        std::min<std::uint64_t>(kBlockSize - within, in.size() - done));
-    auto addr = bmap(inode, bn, true);
-    if (!addr.ok()) return addr.error();
-    // Full-block overwrite skips the read-modify-write (the
-    // block_write_begin full-page shortcut).
-    auto bh = chunk == kBlockSize ? bc.getblk(addr.value())
-                                  : bc.bread(addr.value());
-    if (!bh.ok()) return bh.error();
-    std::memcpy(bh.value()->bytes().data() + within, in.data() + done, chunk);
-    bc.mark_dirty(bh.value());
-    j_write(addr.value());  // data=journal
-    bc.brelse(bh.value());
-    done += chunk;
-  }
-  if (off + done > e->d.size) e->d.size = off + done;
+  BSIM_TRY(tree_.write(slots(*e), off, in));
+  e->d.size = std::max<std::uint64_t>(e->d.size, off + in.size());
   BSIM_TRY(iupdate(inode));
   op_seq_ += 1;
   // Stripe-aware clustering: align the threshold commit to whole stripe
@@ -853,36 +673,24 @@ Err Ext4Mount::dir_unlink(kern::Inode& dir, std::string_view name) {
   // Find and zero the on-disk slot.
   EInode* e = ei(dir);
   auto& bc = sb_->bufcache();
-  for (std::uint64_t off = 0; off < e->d.size; off += kBlockSize) {
-    auto addr = bmap(dir, off / kBlockSize, false);
-    if (!addr.ok()) return addr.error();
-    if (addr.value() == 0) continue;
-    auto bh = bc.bread(addr.value());
-    if (!bh.ok()) return bh.error();
-    auto* de = reinterpret_cast<Dirent*>(bh.value()->bytes().data());
-    const std::uint64_t nents = std::min<std::uint64_t>(
-        kDirentsPerBlock,
-        (e->d.size - off + sizeof(Dirent) - 1) / sizeof(Dirent));
-    bool found = false;
-    for (std::uint64_t i = 0; i < nents; ++i) {
-      if (de[i].inum != 0 &&
-          name == std::string_view(de[i].name,
-                                   strnlen(de[i].name, kDirNameLen))) {
-        de[i] = Dirent{};
-        bc.mark_dirty(bh.value());
-        j_write(addr.value());
-        found = true;
-        break;
-      }
-    }
-    bc.brelse(bh.value());
-    if (found) {
-      idxr.value()->entries.erase(it);
-      op_seq_ += 1;
-      return Err::Ok;
-    }
-  }
-  return Err::NoEnt;
+  auto found = tree_.scan_dir(
+      slots(*e), e->d.size,
+      [&](std::uint64_t, kern::BufferHead& bh, std::span<kern::DirSlot> ents) {
+        for (kern::DirSlot& de : ents) {
+          if (de.inum != 0 && name == de.name_view()) {
+            de = kern::DirSlot{};
+            bc.mark_dirty(&bh);
+            j_write(static_cast<std::uint32_t>(bh.blockno));
+            return true;
+          }
+        }
+        return false;
+      });
+  if (!found.ok()) return found.error();
+  if (!found.value()) return Err::NoEnt;
+  idxr.value()->entries.erase(it);
+  op_seq_ += 1;
+  return Err::Ok;
 }
 
 // ---- InodeOps ----
@@ -1056,32 +864,16 @@ Err Ext4Mount::rename(kern::Inode& old_dir, std::string_view old_name,
   return e;
 }
 
-Err Ext4Mount::zero_block_tail(kern::Inode& inode, std::uint64_t from) {
-  auto& bc = sb_->bufcache();
-  const std::size_t within = static_cast<std::size_t>(from % kBlockSize);
-  if (within == 0) return Err::Ok;
-  auto addr = bmap(inode, from / kBlockSize, false);
-  if (!addr.ok()) return addr.error();
-  if (addr.value() == 0) return Err::Ok;
-  auto bh = bc.bread(addr.value());
-  if (!bh.ok()) return bh.error();
-  std::memset(bh.value()->bytes().data() + within, 0, kBlockSize - within);
-  bc.mark_dirty(bh.value());
-  j_write(addr.value());
-  bc.brelse(bh.value());
-  return Err::Ok;
-}
-
 Err Ext4Mount::setattr(kern::Inode& inode, const kern::SetAttr& attr) {
   sim::charge(sim::costs().fs_op_base);
   EInode* e = ei(inode);
   if (attr.set_size && attr.size < e->d.size) {
     kern::generic_truncate_pagecache(inode, attr.size);
     BSIM_TRY(itrunc(inode, attr.size));
-    BSIM_TRY(zero_block_tail(inode, attr.size));
+    BSIM_TRY(tree_.zero_block_tail(slots(*e), attr.size));
   }
   if (attr.set_size && attr.size >= e->d.size) {
-    BSIM_TRY(zero_block_tail(inode, e->d.size));
+    BSIM_TRY(tree_.zero_block_tail(slots(*e), e->d.size));
     e->d.size = attr.size;
   }
   if (attr.set_mode) {
@@ -1121,33 +913,15 @@ Err Ext4Mount::readdir(kern::Inode& inode, std::uint64_t& pos,
                        const kern::DirFiller& fill) {
   sim::charge(sim::costs().fs_op_base);
   EInode* e = ei(inode);
-  auto& bc = sb_->bufcache();
   if (e->d.type != kDir) return Err::NotDir;
-  while (pos + sizeof(Dirent) <= e->d.size) {
-    const std::uint64_t bn = pos / kBlockSize;
-    auto addr = bmap(inode, bn, false);
-    if (!addr.ok()) return addr.error();
-    Dirent de{};
-    if (addr.value() != 0) {
-      auto bh = bc.bread(addr.value());
-      if (!bh.ok()) return bh.error();
-      std::memcpy(&de, bh.value()->bytes().data() + pos % kBlockSize,
-                  sizeof(de));
-      bc.brelse(bh.value());
-    }
-    pos += sizeof(Dirent);
-    if (de.inum == 0) continue;
-    kern::DirEnt out;
-    out.ino = de.inum;
-    out.name.assign(de.name, strnlen(de.name, kDirNameLen));
-    auto child = iget(de.inum);
+  return tree_.readdir(slots(*e), e->d.size, pos, [&](kern::DirEnt& out) {
+    auto child = iget(static_cast<std::uint32_t>(out.ino));
     if (child.ok()) {
       out.type = child.value()->type;
       sb_->iput(child.value());
     }
-    if (!fill(out)) break;
-  }
-  return Err::Ok;
+    return fill(out);
+  });
 }
 
 // ---- SuperOps ----
@@ -1207,104 +981,7 @@ void Ext4Mount::evict_inode(kern::Inode& inode) {
 Err Ext4Mount::readpage(kern::Inode& inode, std::uint64_t pgoff,
                         std::span<std::byte> out) {
   EInode* e = ei(inode);
-  auto& bc = sb_->bufcache();
-  const std::uint64_t off = pgoff * kern::kPageSize;
-  std::uint64_t done = 0;
-  while (done < out.size() && off + done < e->d.size) {
-    const std::uint64_t bn = (off + done) / kBlockSize;
-    auto addr = bmap(inode, bn, false);
-    if (!addr.ok()) return addr.error();
-    const std::size_t chunk = static_cast<std::size_t>(
-        std::min<std::uint64_t>(kBlockSize, out.size() - done));
-    if (addr.value() == 0) {
-      std::memset(out.data() + done, 0, chunk);
-    } else {
-      auto bh = bc.bread(addr.value());
-      if (!bh.ok()) return bh.error();
-      std::memcpy(out.data() + done, bh.value()->bytes().data(), chunk);
-      bc.brelse(bh.value());
-    }
-    done += chunk;
-  }
-  if (done < out.size()) std::memset(out.data() + done, 0, out.size() - done);
-  return Err::Ok;
-}
-
-Err Ext4Mount::map_run(kern::Inode& inode, std::uint64_t bn,
-                       std::size_t count, std::vector<std::uint32_t>& out) {
-  EInode* e = ei(inode);
-  auto& bc = sb_->bufcache();
-  mstats_.map_runs += 1;
-  mstats_.map_run_blocks += count;
-  out.reserve(out.size() + count);
-  std::uint64_t cur = bn;
-  const std::uint64_t end = bn + count;
-  if (end > kMaxFileBlocks) return Err::FBig;
-
-  // Direct slots: straight off the in-core inode, no device access.
-  while (cur < end && cur < kNDirect) {
-    out.push_back(e->d.addrs[cur]);
-    cur += 1;
-  }
-
-  // Single-indirect overlap: ONE bread covers every entry in the run.
-  if (cur < end && cur - kNDirect < kNIndirect) {
-    const std::uint64_t first = cur - kNDirect;
-    const std::uint64_t stop = std::min<std::uint64_t>(end - kNDirect,
-                                                       kNIndirect);
-    if (e->d.indirect == 0) {
-      for (std::uint64_t i = first; i < stop; ++i) out.push_back(0);
-    } else {
-      auto bh = bc.bread(e->d.indirect);
-      if (!bh.ok()) return bh.error();
-      mstats_.map_indirect_reads += 1;
-      const auto* ent =
-          reinterpret_cast<const std::uint32_t*>(bh.value()->bytes().data());
-      for (std::uint64_t i = first; i < stop; ++i) out.push_back(ent[i]);
-      bc.brelse(bh.value());
-    }
-    cur = kNDirect + stop;
-  }
-
-  // Double-indirect overlap: one L1 bread per run, one L2 bread per leaf
-  // block the run touches (each leaf maps kNIndirect consecutive blocks).
-  if (cur < end) {
-    if (e->d.dindirect == 0) {
-      for (; cur < end; ++cur) out.push_back(0);
-      return Err::Ok;
-    }
-    auto l1 = bc.bread(e->d.dindirect);
-    if (!l1.ok()) return l1.error();
-    mstats_.map_indirect_reads += 1;
-    // Copy the L1 entries we need, then release before leaf reads.
-    std::vector<std::uint32_t> l1_entries(
-        reinterpret_cast<const std::uint32_t*>(l1.value()->bytes().data()),
-        reinterpret_cast<const std::uint32_t*>(l1.value()->bytes().data()) +
-            kNIndirect);
-    bc.brelse(l1.value());
-    while (cur < end) {
-      const std::uint64_t dbn = cur - kNDirect - kNIndirect;
-      const std::uint64_t outer = dbn / kNIndirect;
-      const std::uint64_t inner = dbn % kNIndirect;
-      const std::uint64_t leaf_stop = std::min<std::uint64_t>(
-          end, cur + (kNIndirect - inner));
-      const std::uint32_t mid = l1_entries[outer];
-      if (mid == 0) {
-        for (; cur < leaf_stop; ++cur) out.push_back(0);
-        continue;
-      }
-      auto l2 = bc.bread(mid);
-      if (!l2.ok()) return l2.error();
-      mstats_.map_indirect_reads += 1;
-      const auto* ent =
-          reinterpret_cast<const std::uint32_t*>(l2.value()->bytes().data());
-      for (std::uint64_t i = inner; cur < leaf_stop; ++cur, ++i) {
-        out.push_back(ent[i]);
-      }
-      bc.brelse(l2.value());
-    }
-  }
-  return Err::Ok;
+  return tree_.readpage(slots(*e), e->d.size, pgoff, out);
 }
 
 Err Ext4Mount::readpages(kern::Inode& inode, std::uint64_t first_pgoff,
@@ -1315,7 +992,7 @@ Err Ext4Mount::readpages(kern::Inode& inode, std::uint64_t first_pgoff,
   // bios), and copy straight out of the pinned batch handles.
   static_assert(kern::kPageSize == kBlockSize,
                 "readpages maps one block per page");
-  mstats_.readpages_calls += 1;
+  readpages_calls_ += 1;
   EInode* e = ei(inode);
   auto& bc = sb_->bufcache();
   std::size_t within_size = 0;  // pages of the run below EOF
@@ -1324,7 +1001,7 @@ Err Ext4Mount::readpages(kern::Inode& inode, std::uint64_t first_pgoff,
     within_size += 1;
   }
   std::vector<std::uint32_t> mapped;  // one entry per page, 0 = hole
-  BSIM_TRY(map_run(inode, first_pgoff, within_size, mapped));
+  BSIM_TRY(tree_.map_run(slots(*e), first_pgoff, within_size, mapped));
   std::vector<std::uint64_t> addrs;            // mapped blocks, run order
   std::vector<std::size_t> page_slot(pages.size(), SIZE_MAX);  // -> addrs idx
   for (std::size_t i = 0; i < within_size; ++i) {

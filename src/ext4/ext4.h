@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "ext4/layout.h"
+#include "kernel/blockmap.h"
 #include "kernel/kernel.h"
 #include "sim/stats.h"
 
@@ -44,9 +45,11 @@ struct MapStats {
 class Ext4Mount final : public kern::InodeOps,
                         public kern::FileOps,
                         public kern::SuperOps,
-                        public kern::AddressSpaceOps {
+                        public kern::AddressSpaceOps,
+                        private kern::BlockMapOps {
  public:
-  explicit Ext4Mount(kern::SuperBlock& sb) : sb_(&sb) {}
+  explicit Ext4Mount(kern::SuperBlock& sb)
+      : sb_(&sb), tree_(sb.bufcache(), *this) {}
 
   kern::Err mount_init();
   void dispose_inode(kern::Inode& inode);
@@ -55,7 +58,7 @@ class Ext4Mount final : public kern::InodeOps,
   /// "-o nopipeline": redeem every commit's tickets before returning
   /// (the unpipelined oracle for the ablation/crash differentials).
   void set_pipeline(bool on) { jpipeline_enabled_ = on; }
-  [[nodiscard]] const MapStats& map_stats() const { return mstats_; }
+  [[nodiscard]] MapStats map_stats() const;
   [[nodiscard]] std::uint64_t free_blocks_total() const;
   [[nodiscard]] std::uint64_t free_inodes_total() const;
 
@@ -146,17 +149,15 @@ class Ext4Mount final : public kern::InodeOps,
   kern::Err ifree(std::uint32_t inum);
   kern::Result<std::uint32_t> balloc(std::uint32_t goal_group);
   kern::Err bfree(std::uint32_t blockno);
-  kern::Result<std::uint32_t> bmap(kern::Inode& inode, std::uint64_t bn,
-                                   bool alloc);
-  /// Resolve `count` consecutive logical blocks starting at `bn` in one
-  /// pass (no allocation): direct slots come straight from the inode and
-  /// each indirect block is read once for its whole overlap with the run,
-  /// instead of once per block as repeated bmap calls would. Appends one
-  /// address per block to `out` (0 = hole).
-  kern::Err map_run(kern::Inode& inode, std::uint64_t bn, std::size_t count,
-                    std::vector<std::uint32_t>& out);
   kern::Err itrunc(kern::Inode& inode, std::uint64_t new_size);
-  kern::Err zero_block_tail(kern::Inode& inode, std::uint64_t from);
+  /// The inode's block tree, allocating near the inode's group.
+  kern::BlockSlots slots(EInode& e) const;
+  // BlockMapOps: the tree allocates, frees and journals through these.
+  kern::Result<std::uint32_t> map_alloc(std::uint32_t goal) override {
+    return balloc(goal);
+  }
+  kern::Err map_free(std::uint32_t blockno) override { return bfree(blockno); }
+  void map_journal(std::uint32_t blockno) override { j_write(blockno); }
   [[nodiscard]] std::uint32_t group_of_block(std::uint32_t blockno) const;
   [[nodiscard]] std::uint32_t group_of_inode(std::uint32_t inum) const;
 
@@ -205,7 +206,8 @@ class Ext4Mount final : public kern::InodeOps,
   /// journal never commits again; the mount's errors= policy was applied.
   bool jaborted_ = false;
   JournalStats jstats_;
-  MapStats mstats_;
+  kern::BlockMap tree_;
+  std::uint64_t readpages_calls_ = 0;
   std::unordered_map<std::uint32_t, DirIndex> dir_indexes_;
   std::uint32_t alloc_cursor_ = 0;  // round-robin group goal
 };

@@ -60,8 +60,6 @@ struct MountOptions {
   // ---- journals (xv6 Log and the C-kernel log; ext4 jbd: nopipeline) ----
   /// max_log_batch=N; nogroup is max_log_batch=1.
   std::optional<std::size_t> max_log_batch;
-  /// log_blocks=N: group-commit block threshold.
-  std::optional<std::size_t> log_blocks;
   bool nopipeline = false;
 
   // ---- FUSE transport ----
@@ -151,8 +149,6 @@ inline Result<MountOptions> MountOptions::parse(std::string_view opts) {
       mo.io_deadline = sim::msec(static_cast<sim::Nanos>(n));
     } else if (key == "max_log_batch" && positive) {
       mo.max_log_batch = n;
-    } else if (key == "log_blocks" && positive) {
-      mo.log_blocks = n;
     } else {
       return Err::Inval;
     }

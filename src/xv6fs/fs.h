@@ -37,8 +37,8 @@ class Xv6FileSystem : public bento::FileSystem {
   struct Options {
     Durability durability = Durability::Relaxed;
     /// Write-path tuning: group commit and pipelining. Mount options
-    /// override it field by field ("max_log_batch=N", "log_blocks=N",
-    /// "nopipeline", "nogroup"; see apply_mount_options).
+    /// override it field by field ("max_log_batch=N", "nogroup",
+    /// "nopipeline"; see apply_mount_options).
     LogParams log;
     /// Version tag surfaced through FileSystem::version() (upgrade demos).
     std::string version = "xv6fs-v1";

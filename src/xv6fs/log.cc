@@ -15,7 +15,6 @@ using kern::Err;
 
 LogParams apply_mount_options(LogParams base, const kern::MountOptions& mo) {
   base.max_log_batch = mo.max_log_batch.value_or(base.max_log_batch);
-  base.group_dirty_blocks = mo.log_blocks.value_or(base.group_dirty_blocks);
   if (mo.nopipeline) base.pipeline = false;
   return base;
 }
@@ -112,7 +111,6 @@ void Log::log_write(SuperBlockCap& sb, std::uint32_t blockno) {
 }
 
 std::size_t Log::group_threshold(SuperBlockCap& sb) const {
-  if (params_.group_dirty_blocks > 0) return params_.group_dirty_blocks;
   // Keep headroom for the next op, and align the trigger to whole stripe
   // rows so the install batch hands every member a full merged share
   // (the stripe-aware writeback clustering knob).
@@ -197,8 +195,8 @@ Err Log::commit(SuperBlockCap& sb) {
   // reusing the log area below cannot reorder anything on media — only
   // the transfers' completions are still outstanding, and we cap how
   // many commits' worth of those we carry.
-  const std::size_t depth = std::max<std::size_t>(params_.pipeline_depth, 1);
-  while (inflight_.size() >= depth) wait_oldest(sb);
+  constexpr std::size_t kPipelineDepth = 2;
+  while (inflight_.size() >= kPipelineDepth) wait_oldest(sb);
 
   // Stage latencies are measured from here: each stage's histogram records
   // commit-entry -> that stage's transfer completion (ticket done time),

@@ -21,9 +21,9 @@
 //   submission in program order, so crash semantics are unchanged, but
 //   the committing thread does not wait for the transfers. Transaction
 //   N+1 opens and absorbs writes while N's commit record and checkpoint
-//   are still in flight; at most `pipeline_depth` commits stay
-//   outstanding (the oldest is redeemed first), and force_commit drains
-//   everything before fsync's durability barrier. Log-area reuse is safe
+//   are still in flight; at most two commits stay outstanding (the
+//   oldest is redeemed first), and force_commit drains everything
+//   before fsync's durability barrier. Log-area reuse is safe
 //   because all of commit N's writes are submitted before N+1 copies
 //   over the area — only completions are outstanding.
 //
@@ -60,19 +60,14 @@ struct LogParams {
   /// Group commit: ops absorbed into one transaction before end_op
   /// forces a commit. 1 = commit per op (the pre-pipelining behaviour).
   std::size_t max_log_batch = 8;
-  /// Commit when this many blocks are pending. 0 = auto: the largest
-  /// whole-stripe-row count that still leaves kMaxOpBlocks of headroom.
-  std::size_t group_dirty_blocks = 0;
   /// Pipelined commits ("nopipeline" disables): submit commit writes on
   /// async tickets and only redeem them when the pipeline depth is
   /// exceeded (or at fsync).
   bool pipeline = true;
-  /// Commits whose transfers may be outstanding at once.
-  std::size_t pipeline_depth = 2;
 };
 
 /// `base` with the journal fields the mount options set (max_log_batch=N
-/// or nogroup, log_blocks=N, nopipeline) overriding it; fields the options
+/// or nogroup, nopipeline) overriding it; fields the options
 /// leave unset keep the caller's configuration.
 LogParams apply_mount_options(LogParams base, const kern::MountOptions& mo);
 

@@ -23,19 +23,19 @@ using xv6::Dirent;
 using xv6::DiskSuperblock;
 using xv6::InodeKind;
 using xv6::kBlockSize;
-using xv6::kDirentsPerBlock;
 using xv6::kDirNameLen;
 using xv6::kInodesPerBlock;
 using xv6::kLogSize;
 using xv6::kMaxOpBlocks;
-using xv6::kNDirect;
-using xv6::kNIndirect;
 using xv6::LogHeader;
 
 namespace {
 constexpr std::uint16_t kFree = static_cast<std::uint16_t>(InodeKind::Free);
 constexpr std::uint16_t kDir = static_cast<std::uint16_t>(InodeKind::Dir);
 constexpr std::uint16_t kFile = static_cast<std::uint16_t>(InodeKind::File);
+// Directory blocks are arrays of the DirSlots kern::BlockMap walks.
+static_assert(sizeof(Dirent) == sizeof(kern::DirSlot) &&
+              kDirNameLen == kern::kDirSlotNameLen);
 }  // namespace
 
 // ---- log ----
@@ -84,11 +84,9 @@ Err Xv6cMount::log_end() {
     // Group commit (the one write-path technique the C baseline shares
     // with the Bento port): absorb ops until the batch or block
     // threshold; fsync/sync force via log_force().
-    std::size_t block_limit = log_params_.group_dirty_blocks;
-    if (block_limit == 0) block_limit = kLogSize - kMaxOpBlocks;
     if (log_ops_in_batch_ >=
             std::max<std::size_t>(log_params_.max_log_batch, 1) ||
-        log_pending_.size() >= block_limit) {
+        log_pending_.size() >= kLogSize - kMaxOpBlocks) {
       e = log_commit();
     }
   }
@@ -407,178 +405,22 @@ Err Xv6cMount::bfree(std::uint32_t blockno) {
   return Err::Ok;
 }
 
-Result<std::uint32_t> Xv6cMount::bmap(kern::Inode& inode, std::uint64_t bn,
-                                      bool alloc) {
-  CInode* c = ci(inode);
-  auto& bc = sb_->bufcache();
-  if (bn >= xv6::kMaxFileBlocks) return Err::FBig;
-
-  if (bn < kNDirect) {
-    std::uint32_t addr = c->d.addrs[bn];
-    if (addr == 0 && alloc) {
-      auto r = balloc();
-      if (!r.ok()) return r;
-      addr = c->d.addrs[bn] = r.value();
-    }
-    return addr;
-  }
-  bn -= kNDirect;
-
-  if (bn < kNIndirect) {
-    if (c->d.indirect == 0) {
-      if (!alloc) return std::uint32_t{0};
-      auto r = balloc();
-      if (!r.ok()) return r;
-      c->d.indirect = r.value();
-    }
-    auto bh = bc.bread(c->d.indirect);
-    if (!bh.ok()) return bh.error();
-    auto* e = reinterpret_cast<std::uint32_t*>(bh.value()->bytes().data());
-    std::uint32_t addr = e[bn];
-    if (addr == 0 && alloc) {
-      auto r = balloc();
-      if (!r.ok()) {
-        bc.brelse(bh.value());
-        return r;
-      }
-      addr = e[bn] = r.value();
-      bc.mark_dirty(bh.value());
-      log_write(c->d.indirect);
-    }
-    bc.brelse(bh.value());
-    return addr;
-  }
-  bn -= kNIndirect;
-
-  if (c->d.dindirect == 0) {
-    if (!alloc) return std::uint32_t{0};
-    auto r = balloc();
-    if (!r.ok()) return r;
-    c->d.dindirect = r.value();
-  }
-  const std::uint64_t outer = bn / kNIndirect;
-  const std::uint64_t inner = bn % kNIndirect;
-  auto l1 = bc.bread(c->d.dindirect);
-  if (!l1.ok()) return l1.error();
-  auto* l1e = reinterpret_cast<std::uint32_t*>(l1.value()->bytes().data());
-  std::uint32_t mid = l1e[outer];
-  if (mid == 0) {
-    if (!alloc) {
-      bc.brelse(l1.value());
-      return std::uint32_t{0};
-    }
-    auto r = balloc();
-    if (!r.ok()) {
-      bc.brelse(l1.value());
-      return r;
-    }
-    mid = l1e[outer] = r.value();
-    bc.mark_dirty(l1.value());
-    log_write(c->d.dindirect);
-  }
-  bc.brelse(l1.value());
-  auto l2 = bc.bread(mid);
-  if (!l2.ok()) return l2.error();
-  auto* l2e = reinterpret_cast<std::uint32_t*>(l2.value()->bytes().data());
-  std::uint32_t addr = l2e[inner];
-  if (addr == 0 && alloc) {
-    auto r = balloc();
-    if (!r.ok()) {
-      bc.brelse(l2.value());
-      return r;
-    }
-    addr = l2e[inner] = r.value();
-    bc.mark_dirty(l2.value());
-    log_write(mid);
-  }
-  bc.brelse(l2.value());
-  return addr;
+kern::BlockSlots Xv6cMount::slots(CInode& c) {
+  return {c.d.addrs, c.d.indirect, c.d.dindirect};
 }
 
 Err Xv6cMount::itrunc(kern::Inode& inode, std::uint64_t new_size) {
   CInode* c = ci(inode);
-  auto& bc = sb_->bufcache();
-  const std::uint64_t keep = (new_size + kBlockSize - 1) / kBlockSize;
   log_begin();
-
-  for (std::uint64_t bn = keep; bn < kNDirect; ++bn) {
-    if (c->d.addrs[bn] != 0) {
-      BSIM_TRY(bfree(c->d.addrs[bn]));
-      c->d.addrs[bn] = 0;
-    }
+  Err e = tree_.truncate(slots(*c), new_size);
+  if (e == Err::Ok) {
+    c->d.size = new_size;
+    e = iupdate(inode);
   }
-  if (c->d.indirect != 0) {
-    const std::uint64_t keep_ind = keep > kNDirect ? keep - kNDirect : 0;
-    auto bh = bc.bread(c->d.indirect);
-    if (!bh.ok()) return bh.error();
-    auto* e = reinterpret_cast<std::uint32_t*>(bh.value()->bytes().data());
-    bool touched = false;
-    for (std::uint64_t i = keep_ind; i < kNIndirect; ++i) {
-      if (e[i] != 0) {
-        BSIM_TRY(bfree(e[i]));
-        e[i] = 0;
-        touched = true;
-      }
-    }
-    if (touched) {
-      bc.mark_dirty(bh.value());
-      log_write(c->d.indirect);
-    }
-    bc.brelse(bh.value());
-    if (keep_ind == 0) {
-      BSIM_TRY(bfree(c->d.indirect));
-      c->d.indirect = 0;
-    }
+  if (e != Err::Ok) {
+    (void)log_end();
+    return e;
   }
-  if (c->d.dindirect != 0) {
-    const std::uint64_t base = kNDirect + kNIndirect;
-    const std::uint64_t keep_d = keep > base ? keep - base : 0;
-    auto l1 = bc.bread(c->d.dindirect);
-    if (!l1.ok()) return l1.error();
-    auto* l1e = reinterpret_cast<std::uint32_t*>(l1.value()->bytes().data());
-    bool l1t = false;
-    for (std::uint64_t outer = 0; outer < kNIndirect; ++outer) {
-      if (l1e[outer] == 0) continue;
-      const std::uint64_t first = outer * kNIndirect;
-      if (first + kNIndirect <= keep_d) continue;
-      auto l2 = bc.bread(l1e[outer]);
-      if (!l2.ok()) {
-        bc.brelse(l1.value());
-        return l2.error();
-      }
-      auto* l2e = reinterpret_cast<std::uint32_t*>(l2.value()->bytes().data());
-      bool l2t = false;
-      const std::uint64_t start = keep_d > first ? keep_d - first : 0;
-      for (std::uint64_t inner = start; inner < kNIndirect; ++inner) {
-        if (l2e[inner] != 0) {
-          BSIM_TRY(bfree(l2e[inner]));
-          l2e[inner] = 0;
-          l2t = true;
-        }
-      }
-      if (l2t) {
-        bc.mark_dirty(l2.value());
-        log_write(l1e[outer]);
-      }
-      bc.brelse(l2.value());
-      if (start == 0) {
-        BSIM_TRY(bfree(l1e[outer]));
-        l1e[outer] = 0;
-        l1t = true;
-      }
-    }
-    if (l1t) {
-      bc.mark_dirty(l1.value());
-      log_write(c->d.dindirect);
-    }
-    bc.brelse(l1.value());
-    if (keep_d == 0) {
-      BSIM_TRY(bfree(c->d.dindirect));
-      c->d.dindirect = 0;
-    }
-  }
-  c->d.size = new_size;
-  BSIM_TRY(iupdate(inode));
   return log_end();
 }
 
@@ -588,89 +430,51 @@ Result<std::uint32_t> Xv6cMount::dir_scan(kern::Inode& dir,
                                           std::string_view name,
                                           std::uint64_t* off_out) {
   CInode* c = ci(dir);
-  auto& bc = sb_->bufcache();
   if (c->d.type != kDir) return Err::NotDir;
-  for (std::uint64_t off = 0; off < c->d.size; off += kBlockSize) {
-    auto addr = bmap(dir, off / kBlockSize, false);
-    if (!addr.ok()) return addr.error();
-    if (addr.value() == 0) continue;
-    auto bh = bc.bread(addr.value());
-    if (!bh.ok()) return bh.error();
-    const auto* e = reinterpret_cast<const Dirent*>(bh.value()->bytes().data());
-    const std::uint64_t nents = std::min<std::uint64_t>(
-        kDirentsPerBlock,
-        (c->d.size - off + sizeof(Dirent) - 1) / sizeof(Dirent));
-    for (std::uint64_t i = 0; i < nents; ++i) {
-      sim::charge(sim::costs().dir_scan_per_entry);
-      if (e[i].inum == 0) continue;
-      if (name == std::string_view(e[i].name,
-                                   strnlen(e[i].name, kDirNameLen))) {
-        const std::uint32_t inum = e[i].inum;
-        if (off_out != nullptr) *off_out = off + i * sizeof(Dirent);
-        bc.brelse(bh.value());
-        return inum;
-      }
-    }
-    bc.brelse(bh.value());
-  }
-  return Err::NoEnt;
+  std::uint32_t inum = 0;
+  auto found = tree_.scan_dir(
+      slots(*c), c->d.size,
+      [&](std::uint64_t off, BufferHead&, std::span<kern::DirSlot> ents) {
+        for (std::size_t i = 0; i < ents.size(); ++i) {
+          sim::charge(sim::costs().dir_scan_per_entry);
+          if (ents[i].inum == 0 || name != ents[i].name_view()) continue;
+          inum = ents[i].inum;
+          if (off_out != nullptr) *off_out = off + i * sizeof(Dirent);
+          return true;
+        }
+        return false;
+      });
+  if (!found.ok()) return found.error();
+  if (!found.value()) return Err::NoEnt;
+  return inum;
 }
 
 Err Xv6cMount::write_through_log(kern::Inode& inode, std::uint64_t off,
                                  std::span<const std::byte> in) {
   CInode* c = ci(inode);
-  auto& bc = sb_->bufcache();
-  std::uint64_t done = 0;
-  while (done < in.size()) {
-    const std::uint64_t pos = off + done;
-    const std::uint64_t bn = pos / kBlockSize;
-    const std::size_t within = static_cast<std::size_t>(pos % kBlockSize);
-    const std::size_t chunk = static_cast<std::size_t>(
-        std::min<std::uint64_t>(kBlockSize - within, in.size() - done));
-    auto addr = bmap(inode, bn, true);
-    if (!addr.ok()) return addr.error();
-    // Full-block overwrite skips the read-modify-write (same shortcut as
-    // the Bento port's writei; the C baseline keeps its per-page
-    // transactions — this is a block-layer saving, not batching).
-    auto bh = chunk == kBlockSize ? bc.getblk(addr.value())
-                                  : bc.bread(addr.value());
-    if (!bh.ok()) return bh.error();
-    std::memcpy(bh.value()->bytes().data() + within, in.data() + done, chunk);
-    bc.mark_dirty(bh.value());
-    log_write(addr.value());
-    bc.brelse(bh.value());
-    done += chunk;
-  }
-  if (off + done > c->d.size) c->d.size = off + done;
+  BSIM_TRY(tree_.write(slots(*c), off, in));
+  c->d.size = std::max<std::uint64_t>(c->d.size, off + in.size());
   return iupdate(inode);
 }
 
 Err Xv6cMount::dir_link(kern::Inode& dir, std::string_view name,
                         std::uint32_t inum) {
   CInode* c = ci(dir);
-  auto& bc = sb_->bufcache();
   if (name.size() >= kDirNameLen) return Err::NameTooLong;
-  std::uint64_t slot = c->d.size;
-  for (std::uint64_t off = 0; off < c->d.size && slot == c->d.size;
-       off += kBlockSize) {
-    auto addr = bmap(dir, off / kBlockSize, false);
-    if (!addr.ok()) return addr.error();
-    if (addr.value() == 0) continue;
-    auto bh = bc.bread(addr.value());
-    if (!bh.ok()) return bh.error();
-    const auto* e = reinterpret_cast<const Dirent*>(bh.value()->bytes().data());
-    const std::uint64_t nents = std::min<std::uint64_t>(
-        kDirentsPerBlock,
-        (c->d.size - off + sizeof(Dirent) - 1) / sizeof(Dirent));
-    for (std::uint64_t i = 0; i < nents; ++i) {
-      sim::charge(sim::costs().dir_scan_per_entry);
-      if (e[i].inum == 0) {
-        slot = off + i * sizeof(Dirent);
-        break;
-      }
-    }
-    bc.brelse(bh.value());
-  }
+  std::uint64_t slot = c->d.size;  // append unless a slot is free
+  auto scanned = tree_.scan_dir(
+      slots(*c), c->d.size,
+      [&](std::uint64_t off, BufferHead&, std::span<kern::DirSlot> ents) {
+        for (std::size_t i = 0; i < ents.size(); ++i) {
+          sim::charge(sim::costs().dir_scan_per_entry);
+          if (ents[i].inum == 0) {
+            slot = off + i * sizeof(Dirent);
+            return true;
+          }
+        }
+        return false;
+      });
+  if (!scanned.ok()) return scanned.error();
   Dirent de;
   de.inum = inum;
   std::memset(de.name, 0, kDirNameLen);
@@ -692,28 +496,16 @@ Err Xv6cMount::dir_unlink(kern::Inode& dir, std::string_view name) {
 
 Result<bool> Xv6cMount::dir_empty(kern::Inode& dir) {
   CInode* c = ci(dir);
-  auto& bc = sb_->bufcache();
-  for (std::uint64_t off = 0; off < c->d.size; off += kBlockSize) {
-    auto addr = bmap(dir, off / kBlockSize, false);
-    if (!addr.ok()) return addr.error();
-    if (addr.value() == 0) continue;
-    auto bh = bc.bread(addr.value());
-    if (!bh.ok()) return bh.error();
-    const auto* e = reinterpret_cast<const Dirent*>(bh.value()->bytes().data());
-    const std::uint64_t nents = std::min<std::uint64_t>(
-        kDirentsPerBlock,
-        (c->d.size - off + sizeof(Dirent) - 1) / sizeof(Dirent));
-    for (std::uint64_t i = 0; i < nents; ++i) {
-      if (e[i].inum == 0) continue;
-      const std::string_view n(e[i].name, strnlen(e[i].name, kDirNameLen));
-      if (n != "." && n != "..") {
-        bc.brelse(bh.value());
-        return false;
-      }
-    }
-    bc.brelse(bh.value());
-  }
-  return true;
+  auto other = tree_.scan_dir(
+      slots(*c), c->d.size,
+      [](std::uint64_t, BufferHead&, std::span<kern::DirSlot> ents) {
+        return std::any_of(ents.begin(), ents.end(), [](const auto& de) {
+          const std::string_view n = de.name_view();
+          return de.inum != 0 && n != "." && n != "..";
+        });
+      });
+  if (!other.ok()) return other.error();
+  return !other.value();
 }
 
 // ---- InodeOps ----
@@ -937,24 +729,6 @@ Err Xv6cMount::rename(kern::Inode& old_dir, std::string_view old_name,
   return log_end();
 }
 
-Err Xv6cMount::zero_block_tail(kern::Inode& inode, std::uint64_t from) {
-  // POSIX truncate semantics: stale bytes in the boundary block must never
-  // be exposed by a later extension. Caller holds an open transaction.
-  auto& bc = sb_->bufcache();
-  const std::size_t within = static_cast<std::size_t>(from % kBlockSize);
-  if (within == 0) return Err::Ok;
-  auto addr = bmap(inode, from / kBlockSize, false);
-  if (!addr.ok()) return addr.error();
-  if (addr.value() == 0) return Err::Ok;
-  auto bh = bc.bread(addr.value());
-  if (!bh.ok()) return bh.error();
-  std::memset(bh.value()->bytes().data() + within, 0, kBlockSize - within);
-  bc.mark_dirty(bh.value());
-  log_write(addr.value());
-  bc.brelse(bh.value());
-  return Err::Ok;
-}
-
 Err Xv6cMount::setattr(kern::Inode& inode, const kern::SetAttr& attr) {
   sim::charge(sim::costs().fs_op_base);
   CInode* c = ci(inode);
@@ -962,7 +736,7 @@ Err Xv6cMount::setattr(kern::Inode& inode, const kern::SetAttr& attr) {
     kern::generic_truncate_pagecache(inode, attr.size);
     BSIM_TRY(itrunc(inode, attr.size));
     log_begin();
-    Err ze = zero_block_tail(inode, attr.size);
+    Err ze = tree_.zero_block_tail(slots(*c), attr.size);
     if (ze != Err::Ok) {
       (void)log_end();
       return ze;
@@ -971,7 +745,7 @@ Err Xv6cMount::setattr(kern::Inode& inode, const kern::SetAttr& attr) {
   }
   log_begin();
   if (attr.set_size && attr.size >= c->d.size) {
-    Err ze = zero_block_tail(inode, c->d.size);
+    Err ze = tree_.zero_block_tail(slots(*c), c->d.size);
     if (ze != Err::Ok) {
       (void)log_end();
       return ze;
@@ -1024,33 +798,15 @@ Err Xv6cMount::readdir(kern::Inode& inode, std::uint64_t& pos,
                        const kern::DirFiller& fill) {
   sim::charge(sim::costs().fs_op_base);
   CInode* c = ci(inode);
-  auto& bc = sb_->bufcache();
   if (c->d.type != kDir) return Err::NotDir;
-  while (pos + sizeof(Dirent) <= c->d.size) {
-    const std::uint64_t bn = pos / kBlockSize;
-    auto addr = bmap(inode, bn, false);
-    if (!addr.ok()) return addr.error();
-    Dirent de{};
-    if (addr.value() != 0) {
-      auto bh = bc.bread(addr.value());
-      if (!bh.ok()) return bh.error();
-      std::memcpy(&de, bh.value()->bytes().data() + pos % kBlockSize,
-                  sizeof(de));
-      bc.brelse(bh.value());
-    }
-    pos += sizeof(Dirent);
-    if (de.inum == 0) continue;
-    kern::DirEnt out;
-    out.ino = de.inum;
-    out.name.assign(de.name, strnlen(de.name, kDirNameLen));
-    auto child = iget(de.inum);
+  return tree_.readdir(slots(*c), c->d.size, pos, [&](kern::DirEnt& out) {
+    auto child = iget(static_cast<std::uint32_t>(out.ino));
     if (child.ok()) {
       out.type = child.value()->type;
       sb_->iput(child.value());
     }
-    if (!fill(out)) break;
-  }
-  return Err::Ok;
+    return fill(out);
+  });
 }
 
 // ---- SuperOps ----
@@ -1104,29 +860,7 @@ void Xv6cMount::evict_inode(kern::Inode& inode) {
 Err Xv6cMount::readpage(kern::Inode& inode, std::uint64_t pgoff,
                         std::span<std::byte> out) {
   CInode* c = ci(inode);
-  auto& bc = sb_->bufcache();
-  const std::uint64_t off = pgoff * kern::kPageSize;
-  std::uint64_t done = 0;
-  while (done < out.size() && off + done < c->d.size) {
-    const std::uint64_t bn = (off + done) / kBlockSize;
-    auto addr = bmap(inode, bn, false);
-    if (!addr.ok()) return addr.error();
-    const std::size_t chunk = static_cast<std::size_t>(
-        std::min<std::uint64_t>(kBlockSize, out.size() - done));
-    if (addr.value() == 0) {
-      std::memset(out.data() + done, 0, chunk);
-    } else {
-      auto bh = bc.bread(addr.value());
-      if (!bh.ok()) return bh.error();
-      std::memcpy(out.data() + done, bh.value()->bytes().data(), chunk);
-      bc.brelse(bh.value());
-    }
-    done += chunk;
-  }
-  if (done < out.size()) {
-    std::memset(out.data() + done, 0, out.size() - done);
-  }
-  return Err::Ok;
+  return tree_.readpage(slots(*c), c->d.size, pgoff, out);
 }
 
 Err Xv6cMount::writepage(kern::Inode& inode, std::uint64_t pgoff,

@@ -19,6 +19,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "kernel/blockmap.h"
 #include "kernel/kernel.h"
 #include "xv6fs/layout.h"
 #include "xv6fs/log.h"  // LogParams (group-commit tuning)
@@ -37,9 +38,11 @@ struct CLogStats {
 class Xv6cMount final : public kern::InodeOps,
                         public kern::FileOps,
                         public kern::SuperOps,
-                        public kern::AddressSpaceOps {
+                        public kern::AddressSpaceOps,
+                        private kern::BlockMapOps {
  public:
-  explicit Xv6cMount(kern::SuperBlock& sb) : sb_(&sb) {}
+  explicit Xv6cMount(kern::SuperBlock& sb)
+      : sb_(&sb), tree_(sb.bufcache(), *this) {}
 
   kern::Err mount_init();
   /// Unmount-time cleanup of the C-style per-inode state.
@@ -119,10 +122,14 @@ class Xv6cMount final : public kern::InodeOps,
   kern::Result<std::uint32_t> ialloc(xv6::InodeKind kind, std::uint32_t mode);
   kern::Result<std::uint32_t> balloc();
   kern::Err bfree(std::uint32_t blockno);
-  kern::Result<std::uint32_t> bmap(kern::Inode& inode, std::uint64_t bn,
-                                   bool alloc);
   kern::Err itrunc(kern::Inode& inode, std::uint64_t new_size);
-  kern::Err zero_block_tail(kern::Inode& inode, std::uint64_t from);
+  static kern::BlockSlots slots(CInode& c);
+  // BlockMapOps: the tree allocates, frees and journals through these.
+  kern::Result<std::uint32_t> map_alloc(std::uint32_t) override {
+    return balloc();
+  }
+  kern::Err map_free(std::uint32_t blockno) override { return bfree(blockno); }
+  void map_journal(std::uint32_t blockno) override { log_write(blockno); }
 
   kern::Result<std::uint32_t> dir_scan(kern::Inode& dir,
                                        std::string_view name,
@@ -135,12 +142,13 @@ class Xv6cMount final : public kern::InodeOps,
                               std::span<const std::byte> in);
 
   kern::SuperBlock* sb_;
+  kern::BlockMap tree_;
   xv6::DiskSuperblock dsb_;
   sim::SimMutex log_lock_;      // the log serializes transactions
   sim::SimMutex alloc_lock_;    // §6.1 allocation locks
   int log_outstanding_ = 0;
   std::vector<std::uint32_t> log_pending_;
-  xv6::LogParams log_params_;   // max_log_batch / group_dirty_blocks
+  xv6::LogParams log_params_;   // max_log_batch
   std::size_t log_ops_in_batch_ = 0;
   /// A log write failed: no later commit may run (xv6::Log's abort).
   bool log_aborted_ = false;

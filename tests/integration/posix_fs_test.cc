@@ -250,6 +250,77 @@ TEST_P(PosixFsTest, TruncateShrinkAndGrow) {
   ASSERT_EQ(Err::Ok, kernel_.close(proc(), fd.value()));
 }
 
+TEST_P(PosixFsTest, TruncateAtEveryBlockTreeBoundary) {
+  // The block tree has direct slots (10 on xv6, 12 on ext4j), one
+  // single-indirect block of 1024 entries, then double-indirect leaves of
+  // 1024 entries each. The file reaches into the second leaf, and each
+  // step cuts it back across one more boundary.
+  constexpr std::uint64_t kB = 4096;
+  const std::uint64_t ndirect =
+      std::string_view(GetParam()) == "ext4j" ? 12 : 10;
+  const std::uint64_t dbase = ndirect + 1024;  // first double-indirect block
+  const auto pattern = [](std::uint64_t off) {
+    return static_cast<std::byte>(1 + off % 251);
+  };
+  auto before = kernel_.statfs(proc(), "/mnt");
+  ASSERT_TRUE(before.ok());
+
+  {
+    std::vector<std::byte> data((dbase + 1024 + 64) * kB);
+    for (std::size_t i = 0; i < data.size(); ++i) data[i] = pattern(i);
+    auto fd = kernel_.open(proc(), "/mnt/tree", kern::kOCreat | kern::kOWrOnly);
+    ASSERT_TRUE(fd.ok());
+    ASSERT_TRUE(kernel_.write(proc(), fd.value(), data).ok());
+    ASSERT_EQ(Err::Ok, kernel_.fsync(proc(), fd.value()));
+    ASSERT_EQ(Err::Ok, kernel_.close(proc(), fd.value()));
+  }
+
+  const std::uint64_t sizes[] = {
+      (dbase + 1024 + 10) * kB + 123,  // inside a double-indirect leaf
+      dbase * kB,                      // start of double-indirect
+      (ndirect + 300) * kB + 7,        // inside single-indirect
+      12 * kB,
+      10 * kB,
+      1,
+      0,
+  };
+  constexpr std::uint64_t kGrow = 2 * kB + 100;
+  std::vector<std::byte> buf(kGrow + 1);
+  for (const std::uint64_t size : sizes) {
+    SCOPED_TRACE(size);
+    ASSERT_EQ(Err::Ok, kernel_.truncate(proc(), "/mnt/tree", size));
+    auto st = kernel_.stat(proc(), "/mnt/tree");
+    ASSERT_TRUE(st.ok());
+    EXPECT_EQ(st.value().size, size);
+
+    // Grow again: what was kept survives, everything past the cut reads
+    // back as zero (including the rest of a partially kept block).
+    ASSERT_EQ(Err::Ok, kernel_.truncate(proc(), "/mnt/tree", size + kGrow));
+    auto fd = kernel_.open(proc(), "/mnt/tree", kern::kORdOnly);
+    ASSERT_TRUE(fd.ok());
+    const std::uint64_t from = size == 0 ? 0 : size - 1;
+    auto r = kernel_.pread(proc(), fd.value(), buf, from);
+    ASSERT_TRUE(r.ok());
+    ASSERT_EQ(r.value(), size + kGrow - from);
+    std::size_t i = 0;
+    if (size > 0) {
+      EXPECT_EQ(buf[0], pattern(size - 1));
+      i = 1;
+      std::vector<std::byte> one(1);
+      ASSERT_TRUE(kernel_.pread(proc(), fd.value(), one, size / 2).ok());
+      EXPECT_EQ(one[0], pattern(size / 2));
+    }
+    for (; i < r.value(); ++i) {
+      ASSERT_EQ(buf[i], std::byte{0}) << "offset " << from + i;
+    }
+    ASSERT_EQ(Err::Ok, kernel_.close(proc(), fd.value()));
+  }
+
+  auto after = kernel_.statfs(proc(), "/mnt");
+  ASSERT_TRUE(after.ok());
+  EXPECT_EQ(after.value().free_blocks, before.value().free_blocks);
+}
+
 TEST_P(PosixFsTest, OTruncClearsContent) {
   auto fd = kernel_.open(proc(), "/mnt/tr", kern::kOCreat | kern::kOWrOnly);
   ASSERT_TRUE(fd.ok());

@@ -67,8 +67,6 @@ const Accepted kVocabulary[] = {
     {"max_log_batch=4",
      [](const MountOptions& m) { return m.max_log_batch == 4u; }},
     {"nogroup", [](const MountOptions& m) { return m.max_log_batch == 1u; }},
-    {"log_blocks=64",
-     [](const MountOptions& m) { return m.log_blocks == 64u; }},
     {"nopipeline", [](const MountOptions& m) { return m.nopipeline; }},
     {"io_uring", [](const MountOptions& m) { return m.io_uring; }},
     {"extfuse", [](const MountOptions& m) { return m.extfuse; }},
@@ -88,6 +86,7 @@ const char* const kRejected[] = {
     "noflusher,bogus",  // one bad token fails the whole string
     "noplug",           // removed: request plugging is gone
     "lax_opts",         // removed: there is no opt-out of validation
+    "log_blocks=64",    // removed: no workload tuned the block threshold
 };
 
 class MountOptionsTest : public ::testing::Test {
@@ -140,13 +139,13 @@ TEST_F(MountOptionsTest, CombinedStringsSelectVolumesAndTuneTheLog) {
   // last of max_log_batch=N / nogroup wins.
   xv6::LogParams base;
   base.max_log_batch = 16;
-  base.group_dirty_blocks = 32;
   auto tuned = MountOptions::parse("nogroup,max_log_batch=4,nopipeline");
   ASSERT_TRUE(tuned.ok());
   const xv6::LogParams p = xv6::apply_mount_options(base, tuned.value());
   EXPECT_EQ(p.max_log_batch, 4u);
-  EXPECT_EQ(p.group_dirty_blocks, 32u);  // kept
   EXPECT_FALSE(p.pipeline);
+  EXPECT_EQ(xv6::apply_mount_options(base, plain.value()).max_log_batch,
+            16u);  // kept
   const xv6::LogParams q = xv6::apply_mount_options(base, mo.value());
   EXPECT_EQ(q.max_log_batch, 1u);
   EXPECT_TRUE(q.pipeline);
