@@ -207,7 +207,6 @@ class SuperBlockCap {
   SuperBlockCap& operator=(const SuperBlockCap&) = delete;
 
   [[nodiscard]] std::uint64_t nblocks() const { return backend_->nblocks(); }
-  [[nodiscard]] std::uint32_t blocksize() const { return blk::kBlockSize; }
 
   /// Read a block through the (kernel or userspace) cache.
   kern::Result<BufferHeadHandle> bread(std::uint64_t blockno) {
@@ -327,18 +326,6 @@ class SemGuard {
 
  private:
   Semaphore& s_;
-};
-
-/// Reader-writer semaphore wrapper.
-class RwSemaphore {
- public:
-  void down_read() { rw_.lock_shared(); }
-  void up_read() { rw_.unlock_shared(); }
-  void down_write() { rw_.lock(); }
-  void up_write() { rw_.unlock(); }
-
- private:
-  sim::SimRwLock rw_;
 };
 
 /// Current kernel time (ktime_get analogue) in virtual nanoseconds.

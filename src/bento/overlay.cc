@@ -20,14 +20,10 @@ OverlayFs::OverlayFs(std::unique_ptr<UserMount> lower,
   nodes_[kRootIno] = root;
 }
 
-OverlayFs::~OverlayFs() = default;
-
 Err OverlayFs::init(const Request&, SbRef) { return Err::Ok; }
 
-void OverlayFs::destroy(const Request& req, SbRef) {
-  (void)upper_->fs().sync_fs(upper_->mkreq(), upper_->borrow());
-  upper_->check_borrows();
-  (void)req;
+void OverlayFs::destroy(const Request&, SbRef) {
+  (void)upper_->call(&FileSystem::sync_fs);
 }
 
 OverlayFs::Node& OverlayFs::node_of(Ino ov_ino) {
@@ -60,22 +56,16 @@ Result<EntryOut> OverlayFs::lookup(const Request&, SbRef, Ino parent,
   bool whiteout = false;
   if (dir.upper != 0) {
     // Whiteout masks the lower layer.
-    auto wh = upper_fs().lookup(upper_->mkreq(), upper_->borrow(), dir.upper,
-                                whiteout_of(name));
-    upper_->check_borrows();
-    whiteout = wh.ok();
-    auto up = upper_fs().lookup(upper_->mkreq(), upper_->borrow(), dir.upper,
-                                name);
-    upper_->check_borrows();
+    whiteout =
+        upper_->call(&FileSystem::lookup, dir.upper, whiteout_of(name)).ok();
+    auto up = upper_->call(&FileSystem::lookup, dir.upper, name);
     if (up.ok()) {
       node.upper = up.value().ino;
       node.is_dir = up.value().attr.kind == kern::FileType::Directory;
     }
   }
   if (!whiteout && dir.lower != 0) {
-    auto low = lower_fs().lookup(lower_->mkreq(), lower_->borrow(), dir.lower,
-                                 name);
-    lower_->check_borrows();
+    auto low = lower_->call(&FileSystem::lookup, dir.lower, name);
     if (low.ok()) {
       node.lower = low.value().ino;
       if (node.upper == 0) {
@@ -88,31 +78,23 @@ Result<EntryOut> OverlayFs::lookup(const Request&, SbRef, Ino parent,
   const Ino ov = intern(node);
   EntryOut out;
   out.ino = ov;
-  Node& n = node_of(ov);
-  if (n.upper != 0) {
-    auto a = upper_fs().getattr(upper_->mkreq(), upper_->borrow(), n.upper);
-    upper_->check_borrows();
-    if (!a.ok()) return a.error();
-    out.attr = a.value();
-  } else {
-    auto a = lower_fs().getattr(lower_->mkreq(), lower_->borrow(), n.lower);
-    lower_->check_borrows();
-    if (!a.ok()) return a.error();
-    out.attr = a.value();
-  }
-  out.attr.ino = ov;
+  auto a = attr_of(ov);
+  if (!a.ok()) return a.error();
+  out.attr = a.value();
   return out;
 }
 
 Result<FileAttr> OverlayFs::getattr(const Request&, SbRef, Ino ino) {
-  Node& n = node_of(ino);
+  return attr_of(ino);
+}
+
+Result<FileAttr> OverlayFs::attr_of(Ino ino) {
+  const Node& n = node_of(ino);
   Result<FileAttr> a = Err::NoEnt;
   if (n.upper != 0) {
-    a = upper_fs().getattr(upper_->mkreq(), upper_->borrow(), n.upper);
-    upper_->check_borrows();
+    a = upper_->call(&FileSystem::getattr, n.upper);
   } else if (n.lower != 0) {
-    a = lower_fs().getattr(lower_->mkreq(), lower_->borrow(), n.lower);
-    lower_->check_borrows();
+    a = lower_->call(&FileSystem::getattr, n.lower);
   }
   if (!a.ok()) return a;
   auto attr = a.value();
@@ -120,19 +102,17 @@ Result<FileAttr> OverlayFs::getattr(const Request&, SbRef, Ino ino) {
   return attr;
 }
 
-Result<Ino> OverlayFs::ensure_upper_dir(const Request& req, Ino ov_ino) {
+Result<Ino> OverlayFs::ensure_upper_dir(Ino ov_ino) {
   Node& n = node_of(ov_ino);
   if (n.upper != 0) return n.upper;
   assert(n.is_dir);
-  auto parent_upper = ensure_upper_dir(req, n.parent);
+  auto parent_upper = ensure_upper_dir(n.parent);
   if (!parent_upper.ok()) return parent_upper;
-  auto made = upper_fs().mkdir(upper_->mkreq(), upper_->borrow(),
-                               parent_upper.value(), n.name, 0755);
-  upper_->check_borrows();
+  auto made =
+      upper_->call(&FileSystem::mkdir, parent_upper.value(), n.name, 0755);
   if (!made.ok() && made.error() == Err::Exist) {
-    auto found = upper_fs().lookup(upper_->mkreq(), upper_->borrow(),
-                                   parent_upper.value(), n.name);
-    upper_->check_borrows();
+    auto found =
+        upper_->call(&FileSystem::lookup, parent_upper.value(), n.name);
     if (!found.ok()) return found.error();
     n.upper = found.value().ino;
     return n.upper;
@@ -142,22 +122,19 @@ Result<Ino> OverlayFs::ensure_upper_dir(const Request& req, Ino ov_ino) {
   return n.upper;
 }
 
-Result<Ino> OverlayFs::copy_up(const Request& req, Ino ov_ino) {
+Result<Ino> OverlayFs::copy_up(Ino ov_ino) {
   Node& n = node_of(ov_ino);
   if (n.upper != 0) return n.upper;
   assert(n.lower != 0 && !n.is_dir);
 
-  auto parent_upper = ensure_upper_dir(req, n.parent);
+  auto parent_upper = ensure_upper_dir(n.parent);
   if (!parent_upper.ok()) return parent_upper;
 
-  auto attr = lower_fs().getattr(lower_->mkreq(), lower_->borrow(), n.lower);
-  lower_->check_borrows();
+  auto attr = lower_->call(&FileSystem::getattr, n.lower);
   if (!attr.ok()) return attr.error();
 
-  auto created = upper_fs().create(upper_->mkreq(), upper_->borrow(),
-                                   parent_upper.value(), n.name,
-                                   attr.value().mode);
-  upper_->check_borrows();
+  auto created = upper_->call(&FileSystem::create, parent_upper.value(),
+                              n.name, attr.value().mode);
   if (!created.ok()) return created.error();
   const Ino up = created.value().ino;
 
@@ -167,14 +144,11 @@ Result<Ino> OverlayFs::copy_up(const Request& req, Ino ov_ino) {
   while (off < attr.value().size) {
     const std::size_t chunk = static_cast<std::size_t>(
         std::min<std::uint64_t>(buf.size(), attr.value().size - off));
-    auto r = lower_fs().read(lower_->mkreq(), lower_->borrow(), n.lower, 0,
-                             off, std::span<std::byte>(buf.data(), chunk));
-    lower_->check_borrows();
+    auto r = lower_->call(&FileSystem::read, n.lower, 0, off,
+                          std::span<std::byte>(buf.data(), chunk));
     if (!r.ok()) return r.error();
-    auto w = upper_fs().write(upper_->mkreq(), upper_->borrow(), up, 0, off,
-                              std::span<const std::byte>(buf.data(),
-                                                         r.value()));
-    upper_->check_borrows();
+    auto w = upper_->call(&FileSystem::write, up, 0, off,
+                          std::span<const std::byte>(buf.data(), r.value()));
     if (!w.ok()) return w.error();
     off += r.value();
     if (r.value() == 0) break;
@@ -184,38 +158,16 @@ Result<Ino> OverlayFs::copy_up(const Request& req, Ino ov_ino) {
   return up;
 }
 
-Result<EntryOut> OverlayFs::create(const Request& req, SbRef, Ino parent,
+Result<EntryOut> OverlayFs::create(const Request&, SbRef, Ino parent,
                                    std::string_view name, std::uint32_t mode) {
-  Node& dir = node_of(parent);
-  // Masked-by-whiteout or genuinely absent: the upper layer decides.
-  auto parent_upper = ensure_upper_dir(req, parent);
+  // The upper layer decides: a create shadows any lower file of that name.
+  auto parent_upper = ensure_upper_dir(parent);
   if (!parent_upper.ok()) return parent_upper.error();
   // Remove a whiteout if present (re-creating a deleted lower file).
-  (void)upper_fs().unlink(upper_->mkreq(), upper_->borrow(),
-                          parent_upper.value(), whiteout_of(name));
-  upper_->check_borrows();
-
-  // Reject if visible in the lower layer and not whited out... the lookup
-  // path already merged; rely on the upper create for Exist detection of
-  // upper files; check lower visibility explicitly:
-  if (dir.lower != 0) {
-    auto wh = upper_fs().lookup(upper_->mkreq(), upper_->borrow(),
-                                parent_upper.value(), whiteout_of(name));
-    upper_->check_borrows();
-    if (!wh.ok()) {
-      auto low = lower_fs().lookup(lower_->mkreq(), lower_->borrow(),
-                                   dir.lower, name);
-      lower_->check_borrows();
-      // (whiteout was just removed above, so a lower hit means EEXIST only
-      // if the file was never deleted; after the unlink above we treat the
-      // create as a fresh upper file that shadows the lower one.)
-      (void)low;
-    }
-  }
-
-  auto made = upper_fs().create(upper_->mkreq(), upper_->borrow(),
-                                parent_upper.value(), name, mode);
-  upper_->check_borrows();
+  (void)upper_->call(&FileSystem::unlink, parent_upper.value(),
+                     whiteout_of(name));
+  auto made =
+      upper_->call(&FileSystem::create, parent_upper.value(), name, mode);
   if (!made.ok()) return made.error();
 
   Node node;
@@ -229,16 +181,14 @@ Result<EntryOut> OverlayFs::create(const Request& req, SbRef, Ino parent,
   return out;
 }
 
-Result<EntryOut> OverlayFs::mkdir(const Request& req, SbRef, Ino parent,
+Result<EntryOut> OverlayFs::mkdir(const Request&, SbRef, Ino parent,
                                   std::string_view name, std::uint32_t mode) {
-  auto parent_upper = ensure_upper_dir(req, parent);
+  auto parent_upper = ensure_upper_dir(parent);
   if (!parent_upper.ok()) return parent_upper.error();
-  (void)upper_fs().unlink(upper_->mkreq(), upper_->borrow(),
-                          parent_upper.value(), whiteout_of(name));
-  upper_->check_borrows();
-  auto made = upper_fs().mkdir(upper_->mkreq(), upper_->borrow(),
-                               parent_upper.value(), name, mode);
-  upper_->check_borrows();
+  (void)upper_->call(&FileSystem::unlink, parent_upper.value(),
+                     whiteout_of(name));
+  auto made =
+      upper_->call(&FileSystem::mkdir, parent_upper.value(), name, mode);
   if (!made.ok()) return made.error();
   Node node;
   node.parent = parent;
@@ -252,80 +202,52 @@ Result<EntryOut> OverlayFs::mkdir(const Request& req, SbRef, Ino parent,
   return out;
 }
 
-Err OverlayFs::unlink(const Request& req, SbRef, Ino parent,
+Err OverlayFs::unlink(const Request&, SbRef, Ino parent,
                       std::string_view name) {
-  Node& dir = node_of(parent);
-  bool existed = false;
-  if (dir.upper != 0) {
-    Err e = upper_fs().unlink(upper_->mkreq(), upper_->borrow(), dir.upper,
-                              name);
-    upper_->check_borrows();
-    existed = e == Err::Ok;
-  }
-  // If the name also exists in the lower layer, mask it with a whiteout.
-  if (dir.lower != 0) {
-    auto low = lower_fs().lookup(lower_->mkreq(), lower_->borrow(), dir.lower,
-                                 name);
-    lower_->check_borrows();
-    if (low.ok()) {
-      auto parent_upper = ensure_upper_dir(req, parent);
-      if (!parent_upper.ok()) return parent_upper.error();
-      auto wh = upper_fs().create(upper_->mkreq(), upper_->borrow(),
-                                  parent_upper.value(), whiteout_of(name),
-                                  0);
-      upper_->check_borrows();
-      if (!wh.ok() && wh.error() != Err::Exist) return wh.error();
-      existed = true;
-    }
-  }
-  if (!existed) return Err::NoEnt;
-  by_path_.erase(std::to_string(parent) + "/" + std::string(name));
-  return Err::Ok;
+  const Node& dir = node_of(parent);
+  const bool in_upper =
+      dir.upper != 0 &&
+      upper_->call(&FileSystem::unlink, dir.upper, name) == Err::Ok;
+  return finish_remove(parent, name, in_upper);
 }
 
-Err OverlayFs::rmdir(const Request& req, SbRef sb, Ino parent,
+Err OverlayFs::rmdir(const Request&, SbRef, Ino parent,
                      std::string_view name) {
-  // Minimal semantics: directories can be removed when empty in the merged
-  // view; implemented as unlink-with-whiteout for the lower presence plus
-  // rmdir in the upper.
-  Node& dir = node_of(parent);
-  bool existed = false;
+  // Minimal semantics: rmdir in the upper layer, plus a whiteout for the
+  // lower presence (a non-empty upper directory refuses).
+  const Node& dir = node_of(parent);
+  bool in_upper = false;
   if (dir.upper != 0) {
-    Err e = upper_fs().rmdir(upper_->mkreq(), upper_->borrow(), dir.upper,
-                             name);
-    upper_->check_borrows();
+    Err e = upper_->call(&FileSystem::rmdir, dir.upper, name);
     if (e == Err::NotEmpty) return e;
-    existed = e == Err::Ok;
+    in_upper = e == Err::Ok;
   }
-  if (dir.lower != 0) {
-    auto low = lower_fs().lookup(lower_->mkreq(), lower_->borrow(), dir.lower,
-                                 name);
-    lower_->check_borrows();
-    if (low.ok()) {
-      auto parent_upper = ensure_upper_dir(req, parent);
-      if (!parent_upper.ok()) return parent_upper.error();
-      auto wh = upper_fs().create(upper_->mkreq(), upper_->borrow(),
-                                  parent_upper.value(), whiteout_of(name),
-                                  0);
-      upper_->check_borrows();
-      if (!wh.ok() && wh.error() != Err::Exist) return wh.error();
-      existed = true;
-    }
+  return finish_remove(parent, name, in_upper);
+}
+
+Err OverlayFs::finish_remove(Ino parent, std::string_view name,
+                             bool removed) {
+  // If the name also exists in the lower layer, mask it with a whiteout.
+  const Node& dir = node_of(parent);
+  if (dir.lower != 0 &&
+      lower_->call(&FileSystem::lookup, dir.lower, name).ok()) {
+    auto parent_upper = ensure_upper_dir(parent);
+    if (!parent_upper.ok()) return parent_upper.error();
+    auto wh = upper_->call(&FileSystem::create, parent_upper.value(),
+                           whiteout_of(name), 0);
+    if (!wh.ok() && wh.error() != Err::Exist) return wh.error();
+    removed = true;
   }
-  (void)sb;
-  (void)req;
-  if (!existed) return Err::NoEnt;
+  if (!removed) return Err::NoEnt;
   by_path_.erase(std::to_string(parent) + "/" + std::string(name));
   return Err::Ok;
 }
 
-Result<FileAttr> OverlayFs::setattr(const Request& req, SbRef, Ino ino,
+Result<FileAttr> OverlayFs::setattr(const Request&, SbRef, Ino ino,
                                     const SetAttrIn& attr) {
-  auto up = copy_up(req, ino);
+  auto up = copy_up(ino);
   if (!up.ok()) return up.error();
-  auto r = upper_fs().setattr(upper_->mkreq(), upper_->borrow(), up.value(),
-                              attr);
-  upper_->check_borrows();
+  auto r = upper_->call(&FileSystem::setattr, up.value(), attr);
   if (!r.ok()) return r;
   auto a = r.value();
   a.ino = ino;
@@ -335,71 +257,57 @@ Result<FileAttr> OverlayFs::setattr(const Request& req, SbRef, Ino ino,
 Result<std::uint32_t> OverlayFs::read(const Request&, SbRef, Ino ino,
                                       std::uint64_t fh, std::uint64_t off,
                                       std::span<std::byte> out) {
-  Node& n = node_of(ino);
+  const Node& n = node_of(ino);
   if (n.upper != 0) {
-    auto r = upper_fs().read(upper_->mkreq(), upper_->borrow(), n.upper, fh,
-                             off, out);
-    upper_->check_borrows();
-    return r;
+    return upper_->call(&FileSystem::read, n.upper, fh, off, out);
   }
-  auto r = lower_fs().read(lower_->mkreq(), lower_->borrow(), n.lower, fh,
-                           off, out);
-  lower_->check_borrows();
-  return r;
+  return lower_->call(&FileSystem::read, n.lower, fh, off, out);
 }
 
-Result<std::uint32_t> OverlayFs::write(const Request& req, SbRef, Ino ino,
+Result<std::uint32_t> OverlayFs::write(const Request&, SbRef, Ino ino,
                                        std::uint64_t fh, std::uint64_t off,
                                        std::span<const std::byte> in) {
-  auto up = copy_up(req, ino);  // no-op if already upper
+  auto up = copy_up(ino);  // no-op if already upper
   if (!up.ok()) return up.error();
-  auto r = upper_fs().write(upper_->mkreq(), upper_->borrow(), up.value(), fh,
-                            off, in);
-  upper_->check_borrows();
-  return r;
+  return upper_->call(&FileSystem::write, up.value(), fh, off, in);
 }
 
 Err OverlayFs::fsync(const Request&, SbRef, Ino ino, std::uint64_t fh,
                      bool datasync) {
-  Node& n = node_of(ino);
+  const Node& n = node_of(ino);
   if (n.upper == 0) return Err::Ok;  // lower layer is read-only
-  Err e = upper_fs().fsync(upper_->mkreq(), upper_->borrow(), n.upper, fh,
-                           datasync);
-  upper_->check_borrows();
-  return e;
+  return upper_->call(&FileSystem::fsync, n.upper, fh, datasync);
 }
 
 Err OverlayFs::readdir(const Request&, SbRef, Ino ino, std::uint64_t& pos,
                        const DirFiller& fill) {
-  Node& n = node_of(ino);
+  const Node& n = node_of(ino);
   // Collect the merged view, then emit from `pos` (merge needs both sets).
   std::set<std::string> whiteouts;
   std::map<std::string, kern::DirEnt> merged;
   if (n.upper != 0) {
     std::uint64_t p = 0;
-    Err e = upper_fs().readdir(upper_->mkreq(), upper_->borrow(), n.upper, p,
-                               [&](const kern::DirEnt& de) {
-                                 if (de.name.starts_with(".wh.")) {
-                                   whiteouts.insert(de.name.substr(4));
-                                 } else {
-                                   merged[de.name] = de;
-                                 }
-                                 return true;
-                               });
-    upper_->check_borrows();
+    Err e = upper_->call(&FileSystem::readdir, n.upper, p,
+                         [&](const kern::DirEnt& de) {
+                           if (de.name.starts_with(".wh.")) {
+                             whiteouts.insert(de.name.substr(4));
+                           } else {
+                             merged[de.name] = de;
+                           }
+                           return true;
+                         });
     if (e != Err::Ok) return e;
   }
   if (n.lower != 0) {
     std::uint64_t p = 0;
-    Err e = lower_fs().readdir(lower_->mkreq(), lower_->borrow(), n.lower, p,
-                               [&](const kern::DirEnt& de) {
-                                 if (!merged.contains(de.name) &&
-                                     !whiteouts.contains(de.name)) {
-                                   merged[de.name] = de;
-                                 }
-                                 return true;
-                               });
-    lower_->check_borrows();
+    Err e = lower_->call(&FileSystem::readdir, n.lower, p,
+                         [&](const kern::DirEnt& de) {
+                           if (!merged.contains(de.name) &&
+                               !whiteouts.contains(de.name)) {
+                             merged[de.name] = de;
+                           }
+                           return true;
+                         });
     if (e != Err::Ok) return e;
   }
   std::uint64_t index = 0;
@@ -412,15 +320,11 @@ Err OverlayFs::readdir(const Request&, SbRef, Ino ino, std::uint64_t& pos,
 }
 
 Result<StatfsOut> OverlayFs::statfs(const Request&, SbRef) {
-  auto r = upper_fs().statfs(upper_->mkreq(), upper_->borrow());
-  upper_->check_borrows();
-  return r;
+  return upper_->call(&FileSystem::statfs);
 }
 
 Err OverlayFs::sync_fs(const Request&, SbRef) {
-  Err e = upper_fs().sync_fs(upper_->mkreq(), upper_->borrow());
-  upper_->check_borrows();
-  return e;
+  return upper_->call(&FileSystem::sync_fs);
 }
 
 }  // namespace bsim::bento

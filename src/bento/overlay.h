@@ -26,17 +26,13 @@
 
 namespace bsim::bento {
 
-/// One stackable layer: a file system over its own backend.
-struct OverlayLayer {
-  std::unique_ptr<UserMount> mount;
-};
-
+/// Not a StackedFs: overlay inode numbers map onto two layers, so no op
+/// passes through unchanged. Each layer call goes through UserMount::call.
 class OverlayFs final : public FileSystem {
  public:
   /// `lower` is treated as read-only; `upper` receives all modifications.
   /// Both must already be mount_init()ed.
   OverlayFs(std::unique_ptr<UserMount> lower, std::unique_ptr<UserMount> upper);
-  ~OverlayFs() override;
 
   [[nodiscard]] std::string_view version() const override {
     return "overlay-v1";
@@ -91,14 +87,19 @@ class OverlayFs final : public FileSystem {
 
   Node& node_of(Ino ov_ino);
   Ino intern(const Node& node);
-  FileSystem& upper_fs() { return upper_->fs(); }
-  FileSystem& lower_fs() { return lower_->fs(); }
+  /// The node's attributes from the layer it resolves in, with the
+  /// overlay ino.
+  Result<FileAttr> attr_of(Ino ov_ino);
 
   /// Make sure the node's directory chain exists in the upper layer,
   /// returning the node's upper-layer ino (copy-up of directories).
-  Result<Ino> ensure_upper_dir(const Request& req, Ino ov_ino);
+  Result<Ino> ensure_upper_dir(Ino ov_ino);
   /// Copy a lower-layer file into the upper layer (copy-up on write).
-  Result<Ino> copy_up(const Request& req, Ino ov_ino);
+  Result<Ino> copy_up(Ino ov_ino);
+  /// The lower-layer half of unlink/rmdir, after the upper layer removed
+  /// `name` (`removed`) or lacked it: mask a lower entry with a whiteout
+  /// and drop the overlay node. Err::NoEnt if neither layer had it.
+  kern::Err finish_remove(Ino parent, std::string_view name, bool removed);
 
   std::unique_ptr<UserMount> lower_;
   std::unique_ptr<UserMount> upper_;

@@ -139,10 +139,9 @@ class ProvenanceStore {
 
 /// The stacking file system: passthrough namespace + data, with provenance
 /// observation on the read/write/fsync/release/unlink paths.
-class ProvenanceFs final : public FileSystem {
+class ProvenanceFs final : public StackedFs {
  public:
   explicit ProvenanceFs(std::unique_ptr<UserMount> lower);
-  ~ProvenanceFs() override;
 
   [[nodiscard]] std::string_view version() const override {
     return "provenance-v1";
@@ -153,32 +152,19 @@ class ProvenanceFs final : public FileSystem {
     store_->register_process(pid, std::move(image));
   }
   [[nodiscard]] ProvenanceStore& store() { return *store_; }
-  [[nodiscard]] UserMount& lower() { return *lower_; }
 
-  kern::Err init(const Request& req, SbRef sb) override;
-  void destroy(const Request& req, SbRef sb) override;
-
-  Result<EntryOut> lookup(const Request& req, SbRef sb, Ino parent,
-                          std::string_view name) override;
-  Result<FileAttr> getattr(const Request& req, SbRef sb, Ino ino) override;
-  Result<FileAttr> setattr(const Request& req, SbRef sb, Ino ino,
-                           const SetAttrIn& attr) override;
-  Result<EntryOut> create(const Request& req, SbRef sb, Ino parent,
-                          std::string_view name, std::uint32_t mode) override;
-  Result<EntryOut> mkdir(const Request& req, SbRef sb, Ino parent,
-                         std::string_view name, std::uint32_t mode) override;
   kern::Err unlink(const Request& req, SbRef sb, Ino parent,
                    std::string_view name) override;
-  kern::Err rmdir(const Request& req, SbRef sb, Ino parent,
-                  std::string_view name) override;
-  kern::Err rename(const Request& req, SbRef sb, Ino old_parent,
-                   std::string_view old_name, Ino new_parent,
-                   std::string_view new_name) override;
+  /// Deliberately NOT forwarded: the store keys records by Ino, so if the
+  /// lower file system reclaimed the inode and reused its number, the new
+  /// file would inherit the dead file's lineage. The cost is that unlinked
+  /// files are never reclaimed below this layer.
+  void forget(const Request& req, SbRef sb, Ino ino) override;
 
-  Result<std::uint64_t> open(const Request& req, SbRef sb, Ino ino,
-                             int flags) override;
   kern::Err release(const Request& req, SbRef sb, Ino ino,
                     std::uint64_t fh) override;
+  // read_bulk/write_bulk are not overridden: the FileSystem defaults loop
+  // read()/write(), so readahead and writeback are recorded too.
   Result<std::uint32_t> read(const Request& req, SbRef sb, Ino ino,
                              std::uint64_t fh, std::uint64_t off,
                              std::span<std::byte> out) override;
@@ -187,26 +173,18 @@ class ProvenanceFs final : public FileSystem {
                               std::span<const std::byte> in) override;
   kern::Err fsync(const Request& req, SbRef sb, Ino ino, std::uint64_t fh,
                   bool datasync) override;
-  kern::Err readdir(const Request& req, SbRef sb, Ino ino, std::uint64_t& pos,
-                    const DirFiller& fill) override;
-  Result<StatfsOut> statfs(const Request& req, SbRef sb) override;
-  kern::Err sync_fs(const Request& req, SbRef sb) override;
 
   // Online upgrade keeps the provenance graph (paper §4.8's "internal
-  // file system state such as ... a cache of on-disk data structures").
+  // file system state such as ... a cache of on-disk data structures")
+  // and hands the lower mount to the successor.
   TransferableState prepare_transfer(const Request& req, SbRef sb) override;
   kern::Err restore_state(const Request& req, SbRef sb,
                           TransferableState state) override;
 
  private:
-  FileSystem& lower_fs() { return lower_->fs(); }
   /// Snapshot closure for on_write: full contents of `ino` via the lower FS.
   ProvenanceStore::SnapshotFn snapshot_fn(Ino ino);
 
-  // shared_ptr (not unique_ptr) because TransferableState is backed by
-  // std::any, which requires copy-constructible contents; ownership is
-  // still exclusive in practice.
-  std::shared_ptr<UserMount> lower_;
   std::shared_ptr<ProvenanceStore> store_;
 };
 

@@ -232,30 +232,133 @@ UserMount::~UserMount() {
 }
 
 Err UserMount::mount_init() {
-  Err e = fs_->init(mkreq(), borrow());
-  check_borrows();
+  Err e = call(&FileSystem::init);
   if (e == Err::Ok) mounted_ = true;
   return e;
 }
 
 void UserMount::unmount() {
   if (!mounted_) return;
-  (void)fs_->sync_fs(mkreq(), borrow());
-  fs_->destroy(mkreq(), borrow());
-  check_borrows();
+  (void)call(&FileSystem::sync_fs);
+  call(&FileSystem::destroy);
   backend_->flush_all();
   mounted_ = false;
 }
 
 Err UserMount::upgrade(std::unique_ptr<FileSystem> next) {
-  TransferableState state = fs_->prepare_transfer(mkreq(), borrow());
-  check_borrows();
+  TransferableState state = call(&FileSystem::prepare_transfer);
   Err e = next->restore_state(mkreq(), borrow(), std::move(state));
   if (e == Err::NoSys) e = next->init(mkreq(), borrow());
   check_borrows();
   if (e != Err::Ok) return e;
   fs_ = std::move(next);
   return Err::Ok;
+}
+
+// ---- StackedFs ----
+
+Err StackedFs::init(const Request&, SbRef) { return Err::Ok; }
+
+void StackedFs::destroy(const Request& req, SbRef sb) {
+  (void)StackedFs::sync_fs(req, std::move(sb));
+}
+
+Err StackedFs::sync_fs(const Request&, SbRef) {
+  if (lower_ == nullptr) return Err::Ok;
+  return lower_->call(&FileSystem::sync_fs);
+}
+
+Result<EntryOut> StackedFs::lookup(const Request&, SbRef, Ino parent,
+                                   std::string_view name) {
+  return lower_->call(&FileSystem::lookup, parent, name);
+}
+
+Result<FileAttr> StackedFs::getattr(const Request&, SbRef, Ino ino) {
+  return lower_->call(&FileSystem::getattr, ino);
+}
+
+Result<FileAttr> StackedFs::setattr(const Request&, SbRef, Ino ino,
+                                    const SetAttrIn& attr) {
+  return lower_->call(&FileSystem::setattr, ino, attr);
+}
+
+Result<EntryOut> StackedFs::create(const Request&, SbRef, Ino parent,
+                                   std::string_view name, std::uint32_t mode) {
+  return lower_->call(&FileSystem::create, parent, name, mode);
+}
+
+Result<EntryOut> StackedFs::mkdir(const Request&, SbRef, Ino parent,
+                                  std::string_view name, std::uint32_t mode) {
+  return lower_->call(&FileSystem::mkdir, parent, name, mode);
+}
+
+Err StackedFs::unlink(const Request&, SbRef, Ino parent,
+                      std::string_view name) {
+  return lower_->call(&FileSystem::unlink, parent, name);
+}
+
+Err StackedFs::rmdir(const Request&, SbRef, Ino parent,
+                     std::string_view name) {
+  return lower_->call(&FileSystem::rmdir, parent, name);
+}
+
+Err StackedFs::rename(const Request&, SbRef, Ino old_parent,
+                      std::string_view old_name, Ino new_parent,
+                      std::string_view new_name) {
+  return lower_->call(&FileSystem::rename, old_parent, old_name, new_parent,
+                      new_name);
+}
+
+void StackedFs::forget(const Request&, SbRef, Ino ino) {
+  lower_->call(&FileSystem::forget, ino);
+}
+
+Result<std::uint64_t> StackedFs::open(const Request&, SbRef, Ino ino,
+                                      int flags) {
+  return lower_->call(&FileSystem::open, ino, flags);
+}
+
+Err StackedFs::release(const Request&, SbRef, Ino ino, std::uint64_t fh) {
+  return lower_->call(&FileSystem::release, ino, fh);
+}
+
+Result<std::uint32_t> StackedFs::read(const Request&, SbRef, Ino ino,
+                                      std::uint64_t fh, std::uint64_t off,
+                                      std::span<std::byte> out) {
+  return lower_->call(&FileSystem::read, ino, fh, off, out);
+}
+
+Result<std::uint32_t> StackedFs::write(const Request&, SbRef, Ino ino,
+                                       std::uint64_t fh, std::uint64_t off,
+                                       std::span<const std::byte> in) {
+  return lower_->call(&FileSystem::write, ino, fh, off, in);
+}
+
+Err StackedFs::fsync(const Request&, SbRef, Ino ino, std::uint64_t fh,
+                     bool datasync) {
+  return lower_->call(&FileSystem::fsync, ino, fh, datasync);
+}
+
+Result<std::uint64_t> StackedFs::opendir(const Request&, SbRef, Ino ino) {
+  return lower_->call(&FileSystem::opendir, ino);
+}
+
+Err StackedFs::releasedir(const Request&, SbRef, Ino ino, std::uint64_t fh) {
+  return lower_->call(&FileSystem::releasedir, ino, fh);
+}
+
+Err StackedFs::readdir(const Request&, SbRef, Ino ino, std::uint64_t& pos,
+                       const DirFiller& fill) {
+  return lower_->call(&FileSystem::readdir, ino, pos, fill);
+}
+
+Err StackedFs::fsyncdir(const Request&, SbRef, Ino ino, std::uint64_t fh,
+                        bool datasync) {
+  return lower_->call(&FileSystem::fsyncdir, ino, fh, datasync);
+}
+
+Result<StatfsOut> StackedFs::statfs(const Request&, SbRef) {
+  return lower_->call(&FileSystem::statfs);
 }
 
 }  // namespace bsim::bento

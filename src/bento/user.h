@@ -12,10 +12,14 @@
 //   UserMount        — the framework object that owns the backend and the
 //       capability, and dispatches calls with borrow checking, mirroring
 //       BentoModule's caller-side contract.
+//   StackedFs        — base for a file system stacked over a UserMount
+//       (paper §3.4): forwards every op the layer does not transform.
 #pragma once
 
+#include <functional>
 #include <list>
 #include <memory>
+#include <type_traits>
 #include <unordered_map>
 #include <vector>
 
@@ -149,6 +153,25 @@ class UserMount {
     assert(ledger_.balanced() && "file system escaped a borrowed capability");
   }
 
+  /// Dispatch one op into the mounted file system under the caller-side
+  /// contract: a fresh request, the capability lent for this call only,
+  /// and the ledger checked on return. `op` is a FileSystem member, e.g.
+  /// `mount.call(&FileSystem::getattr, ino)`; void ops such as forget work
+  /// too.
+  template <class Op, class... Args>
+  auto call(Op op, Args&&... args) {
+    using R = std::invoke_result_t<Op, FileSystem&, Request, SbRef, Args...>;
+    if constexpr (std::is_void_v<R>) {
+      std::invoke(op, *fs_, mkreq(), borrow(), std::forward<Args>(args)...);
+      check_borrows();
+    } else {
+      R r = std::invoke(op, *fs_, mkreq(), borrow(),
+                        std::forward<Args>(args)...);
+      check_borrows();
+      return r;
+    }
+  }
+
   /// Online upgrade at user level (same semantics as BentoModule::upgrade).
   Err upgrade(std::unique_ptr<FileSystem> next);
 
@@ -159,6 +182,77 @@ class UserMount {
   std::unique_ptr<FileSystem> fs_;
   std::uint64_t next_unique_ = 1;
   bool mounted_ = false;
+};
+
+/// A file system stacked over another Bento mount (paper §3.4): one
+/// FileSystem calls the next directly through UserMount::call, with no VFS
+/// re-entry. Every namespace, file, directory and whole-fs op is forwarded
+/// to the lower mount unchanged, so a layer overrides only the ops it
+/// transforms. read_bulk/write_bulk are not forwarded: the FileSystem
+/// defaults loop the layer's own read/write, so a data transform sees
+/// every page. The incoming request and capability belong to this layer's
+/// own mount and are not passed down.
+class StackedFs : public FileSystem {
+ public:
+  /// `lower` must already be mount_init()ed.
+  explicit StackedFs(std::shared_ptr<UserMount> lower)
+      : lower_(std::move(lower)) {}
+
+  /// The lower mount: layers call through it, and tests inspect the data
+  /// at rest through it.
+  [[nodiscard]] UserMount& lower() { return *lower_; }
+
+  // init, destroy and sync_fs tolerate a lower mount that an online
+  // upgrade transferred away (§4.8): there is nothing left to sync.
+  Err init(const Request& req, SbRef sb) override;
+  void destroy(const Request& req, SbRef sb) override;
+  Err sync_fs(const Request& req, SbRef sb) override;
+
+  Result<EntryOut> lookup(const Request& req, SbRef sb, Ino parent,
+                          std::string_view name) override;
+  Result<FileAttr> getattr(const Request& req, SbRef sb, Ino ino) override;
+  Result<FileAttr> setattr(const Request& req, SbRef sb, Ino ino,
+                           const SetAttrIn& attr) override;
+  Result<EntryOut> create(const Request& req, SbRef sb, Ino parent,
+                          std::string_view name, std::uint32_t mode) override;
+  Result<EntryOut> mkdir(const Request& req, SbRef sb, Ino parent,
+                         std::string_view name, std::uint32_t mode) override;
+  Err unlink(const Request& req, SbRef sb, Ino parent,
+             std::string_view name) override;
+  Err rmdir(const Request& req, SbRef sb, Ino parent,
+            std::string_view name) override;
+  Err rename(const Request& req, SbRef sb, Ino old_parent,
+             std::string_view old_name, Ino new_parent,
+             std::string_view new_name) override;
+  void forget(const Request& req, SbRef sb, Ino ino) override;
+
+  Result<std::uint64_t> open(const Request& req, SbRef sb, Ino ino,
+                             int flags) override;
+  Err release(const Request& req, SbRef sb, Ino ino,
+              std::uint64_t fh) override;
+  Result<std::uint32_t> read(const Request& req, SbRef sb, Ino ino,
+                             std::uint64_t fh, std::uint64_t off,
+                             std::span<std::byte> out) override;
+  Result<std::uint32_t> write(const Request& req, SbRef sb, Ino ino,
+                              std::uint64_t fh, std::uint64_t off,
+                              std::span<const std::byte> in) override;
+  Err fsync(const Request& req, SbRef sb, Ino ino, std::uint64_t fh,
+            bool datasync) override;
+
+  Result<std::uint64_t> opendir(const Request& req, SbRef sb, Ino ino) override;
+  Err releasedir(const Request& req, SbRef sb, Ino ino,
+                 std::uint64_t fh) override;
+  Err readdir(const Request& req, SbRef sb, Ino ino, std::uint64_t& pos,
+              const DirFiller& fill) override;
+  Err fsyncdir(const Request& req, SbRef sb, Ino ino, std::uint64_t fh,
+               bool datasync) override;
+  Result<StatfsOut> statfs(const Request& req, SbRef sb) override;
+
+ protected:
+  // shared_ptr (not unique_ptr) because an upgrade hands the mount over
+  // in a TransferableState, whose std::any contents must be
+  // copy-constructible; ownership is still exclusive in practice.
+  std::shared_ptr<UserMount> lower_;
 };
 
 }  // namespace bsim::bento

@@ -245,9 +245,6 @@ class BlockDevice {
   virtual void clear_write_error(std::uint64_t blockno) {
     bad_writes_.erase(blockno);
   }
-  [[nodiscard]] std::size_t injected_write_errors() const {
-    return bad_writes_.size();
-  }
   /// Fail the next `k` bios (either direction) with a TRANSIENT error
   /// (Bio::retryable set), then heal — a controller hiccup rather than a
   /// medium defect. Counts down per bio, in dispatch order; an aggregate

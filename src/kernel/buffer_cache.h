@@ -157,9 +157,6 @@ class BufferCache {
     c.seen = s;
     return wb_last_err_;
   }
-  [[nodiscard]] const ErrSeq& wb_err_shard(std::size_t shard) const {
-    return wb_err_[shard];
-  }
 
   /// Write back every dirty buffer (timed) as one batched submission in
   /// ascending block order.

@@ -39,10 +39,10 @@ std::size_t Flusher::shard_buffer_limit() const {
   return std::max<std::size_t>(1, whole / nshards_);
 }
 
-bool Flusher::wake_due(const Inode* hint,
-                       std::size_t page_threshold) const {
-  if (hint != nullptr && page_threshold != 0 && owns(*hint) &&
-      hint->mapping.nr_dirty() >= page_threshold) {
+bool Flusher::wake_due(const Inode* hint) const {
+  const std::size_t pages = params_.dirty_pages_threshold;
+  if (hint != nullptr && pages != 0 && owns(*hint) &&
+      hint->mapping.nr_dirty() >= pages) {
     return true;
   }
   if (params_.drain_buffers) {
@@ -54,11 +54,11 @@ bool Flusher::wake_due(const Inode* hint,
   return false;
 }
 
-void Flusher::poke(Inode* hint, std::size_t page_threshold) {
+void Flusher::poke(Inode* hint) {
   if (running_) return;  // poked from flusher context; already draining
   stats_.pokes += 1;
   const bool timer_due = sim::now() >= next_timer_;
-  const bool threshold = wake_due(hint, page_threshold);
+  const bool threshold = wake_due(hint);
   if (timer_due || threshold) {
     stats_.wakeups += 1;
     if (threshold) stats_.threshold_wakeups += 1;

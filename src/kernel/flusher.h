@@ -45,10 +45,15 @@ class Inode;
 class SuperBlock;
 struct MountOptions;
 
+/// Dirty pages on one inode that start its writeback: the flusher's
+/// default trigger, and the page count at which a writer on a superblock
+/// without a flusher writes the inode back itself (generic_file_write).
+inline constexpr std::size_t kDirtyPagesThreshold = 256;
+
 struct FlusherParams {
   /// Drain when an inode accumulates this many dirty pages (the trigger
-  /// that used to run writeback in writer context).
-  std::size_t dirty_pages_threshold = 256;
+  /// that used to run writeback in writer context). 0 disables it.
+  std::size_t dirty_pages_threshold = kDirtyPagesThreshold;
   /// Drain when the buffer cache's dirty fraction exceeds this (of its
   /// capacity, for bounded caches).
   double dirty_ratio = 0.10;
@@ -116,24 +121,14 @@ class Flusher {
   /// whether to wake; any drain runs on the flusher's own clock, starting
   /// no earlier than the poke. `hint` is the inode the writer dirtied
   /// (may be null for metadata-only pokes).
-  void poke(Inode* hint) { poke(hint, params_.dirty_pages_threshold); }
-
-  /// Same, with the caller's per-write dirty-page threshold (the
-  /// GenericWriteOptions knob): it overrides the flusher's default for
-  /// the hint-inode trigger so the two knobs cannot drift. 0 disables the
-  /// hint trigger for this poke (the timer and buffer ratio still apply).
-  void poke(Inode* hint, std::size_t page_threshold);
+  void poke(Inode* hint);
 
   /// Foreground durability barrier: advance the calling thread past all
   /// writeback the flusher has completed.
   void wait_idle();
 
   /// Would a poke right now wake the flusher? (exposed for tests)
-  [[nodiscard]] bool wake_due(const Inode* hint) const {
-    return wake_due(hint, params_.dirty_pages_threshold);
-  }
-  [[nodiscard]] bool wake_due(const Inode* hint,
-                              std::size_t page_threshold) const;
+  [[nodiscard]] bool wake_due(const Inode* hint) const;
 
   [[nodiscard]] const FlusherStats& stats() const { return stats_; }
   [[nodiscard]] sim::Nanos last_completion() const { return thread_.now(); }

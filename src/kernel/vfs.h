@@ -218,7 +218,7 @@ class SuperBlock {
   /// shard's buffer threshold and periodic timer still fire, so dirty
   /// state on members no writer's inode hashes to keeps draining, but an
   /// unowned member's backlog never throttles this writer.
-  void poke_flushers(Inode* hint, std::size_t page_threshold);
+  void poke_flushers(Inode* hint);
 
   // ---- dirty-inode list (the per-bdi b_dirty list) ----
   /// Register an inode whose mapping just became dirty. Called by
@@ -293,14 +293,8 @@ class FileSystemType {
 Result<std::uint64_t> generic_file_read(Inode& inode, std::uint64_t off,
                                         std::span<std::byte> out);
 
-struct GenericWriteOptions {
-  /// Start synchronous writeback once this many pages are dirty.
-  std::size_t dirty_threshold = 256;
-};
-
 Result<std::uint64_t> generic_file_write(Inode& inode, std::uint64_t off,
-                                         std::span<const std::byte> in,
-                                         const GenericWriteOptions& opts = {});
+                                         std::span<const std::byte> in);
 
 /// Flush the inode's dirty pages through its AddressSpaceOps.
 Err generic_writeback(Inode& inode);

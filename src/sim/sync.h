@@ -37,7 +37,6 @@ class SimMutex {
     const bool contended = t.now() < available_at_;
     if (contended) {
       contended_acquires_ += 1;
-      waited_ += available_at_ - t.now();
       t.wait_until(available_at_);
     }
     t.enter_critical();
@@ -56,12 +55,10 @@ class SimMutex {
 
   [[nodiscard]] std::uint64_t acquires() const { return acquires_; }
   [[nodiscard]] std::uint64_t contended_acquires() const { return contended_acquires_; }
-  [[nodiscard]] Nanos total_wait() const { return waited_; }
 
  private:
   Kind kind_ = Kind::Sleeping;
   Nanos available_at_ = 0;
-  Nanos waited_ = 0;
   std::uint64_t acquires_ = 0;
   std::uint64_t contended_acquires_ = 0;
 };

@@ -130,12 +130,7 @@ class Log {
   /// Err::Io and the mount's errors= policy has been applied.
   [[nodiscard]] bool aborted() const { return aborted_; }
   [[nodiscard]] Durability durability() const { return durability_; }
-  void set_durability(Durability d) { durability_ = d; }
   [[nodiscard]] const LogParams& params() const { return params_; }
-  /// Commits whose transfers are still outstanding (tests/diagnostics).
-  [[nodiscard]] std::size_t inflight_commits() const {
-    return inflight_.size();
-  }
 
   /// Export/import for online upgrade: the log must be empty (committed
   /// and drained) at transfer time; this carries geometry + stats across

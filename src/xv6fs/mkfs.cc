@@ -3,6 +3,7 @@
 #include <stdexcept>
 
 #include "xv6fs/layout.h"
+#include "xv6fs/mem_image.h"
 
 namespace bsim::xv6 {
 
@@ -100,6 +101,22 @@ DiskSuperblock read_superblock(blk::BlockDevice& dev) {
   DiskSuperblock sb;
   std::memcpy(&sb, buf.data(), sizeof(sb));
   return sb;
+}
+
+MemImage mkfs_mem(std::uint64_t nblocks, std::uint32_t ninodes) {
+  blk::DeviceParams params;
+  params.nblocks = nblocks;
+  blk::BlockDevice scratch(params);
+  MemImage image{std::make_unique<bento::MemBlockBackend>(nblocks),
+                 mkfs(scratch, ninodes)};
+  auto cap = bento::CapTestAccess::make(*image.backend);
+  std::array<std::byte, kBlockSize> buf{};
+  for (std::uint32_t b = 1; b <= image.sb.datastart; ++b) {
+    scratch.read_untimed(b, buf);
+    auto bh = cap->getblk(b);
+    std::memcpy(bh.value().data().data(), buf.data(), buf.size());
+  }
+  return image;
 }
 
 }  // namespace bsim::xv6

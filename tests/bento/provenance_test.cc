@@ -17,27 +17,6 @@ using bento::Ino;
 using bento::ProvSource;
 using kern::Err;
 
-std::unique_ptr<bento::UserMount> make_xv6_mount() {
-  blk::DeviceParams params;
-  params.nblocks = 8192;
-  blk::BlockDevice scratch(params);
-  const auto dsb = xv6::mkfs(scratch, 512);
-  auto backend = std::make_unique<bento::MemBlockBackend>(8192);
-  {
-    auto cap = bento::CapTestAccess::make(*backend);
-    std::array<std::byte, blk::kBlockSize> buf{};
-    for (std::uint32_t b = 1; b <= dsb.datastart; ++b) {
-      scratch.read_untimed(b, buf);
-      auto bh = cap->getblk(b);
-      std::memcpy(bh.value().data().data(), buf.data(), buf.size());
-    }
-  }
-  auto mount = std::make_unique<bento::UserMount>(
-      std::move(backend), std::make_unique<xv6::Xv6FileSystem>());
-  EXPECT_EQ(Err::Ok, mount->mount_init());
-  return mount;
-}
-
 class ProvenanceTest : public ::testing::Test {
  protected:
   void SetUp() override {

@@ -304,7 +304,7 @@ TEST(FlusherSharding, BackpressureThrottlesOnlySlowMemberWriters) {
   sim::SimThread fast_writer(10);
   {
     sim::ScopedThread w(fast_writer);
-    sb.poke_flushers(&fast_file, 1000);
+    sb.poke_flushers(&fast_file);
   }
   EXPECT_EQ(bc.nr_dirty_shard(0), 0u);
   EXPECT_EQ(bc.nr_dirty_shard(1), 0u);  // courtesy wake drained the rest
@@ -320,7 +320,7 @@ TEST(FlusherSharding, BackpressureThrottlesOnlySlowMemberWriters) {
   sim::SimThread slow_writer(11);
   {
     sim::ScopedThread w(slow_writer);
-    sb.poke_flushers(&slow_file, 1000);
+    sb.poke_flushers(&slow_file);
   }
   EXPECT_GE(sb.flusher_at(1)->stats().throttle_waits, 1u);
   EXPECT_EQ(sb.flusher_at(0)->stats().throttle_waits, 0u);

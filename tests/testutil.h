@@ -14,6 +14,7 @@
 #include "sim/thread.h"
 #include "xv6fs/fs.h"
 #include "xv6fs/layout.h"
+#include "xv6fs/mem_image.h"
 #include "xv6fs_c/xv6c.h"
 
 namespace bsim::test {
@@ -24,6 +25,16 @@ inline std::span<const std::byte> as_bytes(std::string_view s) {
 
 inline std::string to_string(std::span<const std::byte> b) {
   return {reinterpret_cast<const char*>(b.data()), b.size()};
+}
+
+/// The userspace debugging rig: xv6 on a formatted in-memory image
+/// (32 MiB, 512 inodes), mounted through a UserMount.
+inline std::unique_ptr<bento::UserMount> make_xv6_mount() {
+  auto mount = std::make_unique<bento::UserMount>(
+      xv6::mkfs_mem(8192, 512).backend,
+      std::make_unique<xv6::Xv6FileSystem>());
+  EXPECT_EQ(kern::Err::Ok, mount->mount_init());
+  return mount;
 }
 
 /// Register all three xv6 deployments (paper §6.2) with a kernel:

@@ -4,7 +4,6 @@
 // allocator accounting.
 #include <gtest/gtest.h>
 
-#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
@@ -13,6 +12,7 @@
 #include "sim/thread.h"
 #include "xv6fs/fs.h"
 #include "xv6fs/layout.h"
+#include "xv6fs/mem_image.h"
 
 namespace bsim::xv6 {
 namespace {
@@ -27,24 +27,10 @@ class Xv6Rig : public ::testing::Test {
 
   void SetUp() override {
     sim::set_current(&thread_);
-    // Format via a scratch device, copy metadata into the memory backend.
-    blk::DeviceParams params;
-    params.nblocks = kBlocks;
-    blk::BlockDevice scratch(params);
-    dsb_ = mkfs(scratch, /*ninodes=*/1024);
-
-    auto backend = std::make_unique<bento::MemBlockBackend>(kBlocks);
-    {
-      auto cap = bento::CapTestAccess::make(*backend);
-      std::array<std::byte, kBlockSize> buf{};
-      for (std::uint32_t b = 1; b <= dsb_.datastart; ++b) {
-        scratch.read_untimed(b, buf);
-        auto bh = cap->getblk(b);
-        std::memcpy(bh.value().data().data(), buf.data(), buf.size());
-      }
-    }
+    MemImage image = mkfs_mem(kBlocks, /*ninodes=*/1024);
+    dsb_ = image.sb;
     mount_ = std::make_unique<bento::UserMount>(
-        std::move(backend), std::make_unique<Xv6FileSystem>());
+        std::move(image.backend), std::make_unique<Xv6FileSystem>());
     ASSERT_EQ(Err::Ok, mount_->mount_init());
   }
 
