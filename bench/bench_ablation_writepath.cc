@@ -6,7 +6,7 @@
 // write-path mechanism via mount options:
 //   full        — pipeline + group commit (the defaults)
 //   nopipeline  — commits redeem their tickets synchronously
-//   nogroup     — max_log_batch=1: one commit per closed operation
+//   nogroup     — one commit per closed operation
 // plus a C-kernel (xv6_vfs) row showing the per-page ->writepage path's
 // log_commits with and without group commit.
 //

@@ -32,32 +32,20 @@ void Ext4Mount::j_write(std::uint32_t blockno) {
   // background writeback and eviction must not write it ahead of the
   // commit record.
   sb_->bufcache().pin_journal(blockno, true);
-  if (std::find(running_txn_.begin(), running_txn_.end(), blockno) ==
-      running_txn_.end()) {
-    if (running_txn_.empty()) {
-      // First tagged block opens the running transaction (jseq_ is the
-      // sequence its records will carry).
-      sb_->bdev().trace_event(blk::TraceEv::TxnOpen, jseq_, 0, 0,
-                              blk::TraceOp::Journal);
-    }
-    running_txn_.push_back(blockno);
+  if (running_txn_.tag(blockno) == kern::RunningTxn::Tag::Added &&
+      running_txn_.size() == 1) {
+    // First tagged block opens the running transaction (jseq_ is the
+    // sequence its records will carry).
+    sb_->bdev().trace_event(blk::TraceEv::TxnOpen, jseq_, 0, 0,
+                            blk::TraceOp::Journal);
   }
 }
 
-void Ext4Mount::j_wait_oldest() {
-  if (jpipeline_.empty()) return;
-  auto& bc = sb_->bufcache();
-  for (const blk::Ticket& t : jpipeline_.front()) bc.wait(t);
-  jpipeline_.pop_front();
-}
-
-void Ext4Mount::j_drain() {
-  while (!jpipeline_.empty()) j_wait_oldest();
-}
-
 Err Ext4Mount::j_commit(bool flush_device) {
-  if (jaborted_) return Err::Io;
+  if (running_txn_.aborted()) return Err::Io;
   auto& bc = sb_->bufcache();
+  auto wait = [&bc](const blk::Ticket& t) { bc.wait(t); };
+  const std::vector<std::uint32_t>& txn = running_txn_.blocks();
   std::size_t written = 0;
 
   // No-op commit skip: a flush-commit with nothing tagged, nothing in
@@ -72,10 +60,8 @@ Err Ext4Mount::j_commit(bool flush_device) {
   // Pipelined commit: every write of this commit (journal run, commit
   // record, checkpoint) rides async tickets. Media effects land at
   // submission in program order, so journal-area reuse and crash
-  // semantics are unchanged; only the completions stay outstanding,
-  // bounded by kJPipelineDepth commits (oldest redeemed first).
-  constexpr std::size_t kJPipelineDepth = 2;
-  while (jpipeline_.size() >= kJPipelineDepth) j_wait_oldest();
+  // semantics are unchanged; only the completions stay outstanding.
+  jpipeline_.reserve(wait);
   const sim::Nanos t0 = sim::now();
   if (!running_txn_.empty()) {
     sb_->bdev().trace_event(blk::TraceEv::TxnClose, jseq_, 0,
@@ -85,27 +71,27 @@ Err Ext4Mount::j_commit(bool flush_device) {
   std::vector<blk::Ticket> tickets;
   auto fail = [&](Err e) {
     for (const blk::Ticket& t : tickets) bc.wait(t);
-    j_drain();
+    jpipeline_.drain(wait);
     return e;
   };
-  // Journal abort (jbd2_journal_abort): a write into the journal area
-  // failed on media, so this transaction can never become durable. The
-  // commit record for it is never issued — recovery ignores the partial
-  // record and replays nothing past the last committed seq. The tagged
-  // blocks stay journal-pinned in the cache so uncommitted state never
-  // reaches home locations; errors= policy decides the mount's fate.
+  auto release = [&bc](const std::vector<kern::BufferHead*>& bhs) {
+    for (auto* bh : bhs) bc.brelse(bh);
+  };
+  // Journal abort (jbd2_journal_abort, kern::RunningTxn::abort): a write
+  // into the journal area failed on media. Its commit record is never
+  // issued, so recovery replays nothing past the last committed seq.
   auto abort_journal = [&](Err e) {
-    jstats_.jbd_aborted += 1;
-    jaborted_ = true;
-    running_txn_.clear();
-    sb_->fs_error(e);
+    if (running_txn_.abort()) {
+      jstats_.jbd_aborted += 1;
+      sb_->fs_error(e);
+    }
     return fail(e);
   };
-  while (written < running_txn_.size()) {
+  while (written < txn.size()) {
     // One journal record holds as many tags as fit the descriptor block
     // (and the journal area); huge transactions split into several records.
     constexpr std::size_t kMaxTags = std::size(JDescriptor{}.blocks);
-    const std::size_t n = std::min({running_txn_.size() - written,
+    const std::size_t n = std::min({txn.size() - written,
                                     static_cast<std::size_t>(super_.jblocks) - 2,
                                     kMaxTags});
     JDescriptor desc;
@@ -113,7 +99,7 @@ Err Ext4Mount::j_commit(bool flush_device) {
     desc.seq = jseq_;
     desc.n = static_cast<std::uint32_t>(n);
     for (std::size_t i = 0; i < n; ++i) {
-      desc.blocks[i] = running_txn_[written + i];
+      desc.blocks[i] = txn[written + i];
     }
     // Descriptor + data into the journal region, submitted as ONE batch:
     // the run is contiguous from jstart, so the request queue merges it
@@ -128,15 +114,15 @@ Err Ext4Mount::j_commit(bool flush_device) {
       bc.mark_dirty(db.value());
       jrun.push_back(db.value());
       for (std::size_t i = 0; i < n; ++i) {
-        auto src = bc.bread(running_txn_[written + i]);
+        auto src = bc.bread(txn[written + i]);
         if (!src.ok()) {
-          for (auto* bh : jrun) bc.brelse(bh);
+          release(jrun);
           return fail(src.error());
         }
         auto dst = bc.getblk(super_.jstart + 1 + static_cast<std::uint32_t>(i));
         if (!dst.ok()) {
           bc.brelse(src.value());
-          for (auto* bh : jrun) bc.brelse(bh);
+          release(jrun);
           return fail(dst.error());
         }
         std::memcpy(dst.value()->bytes().data(), src.value()->bytes().data(),
@@ -146,17 +132,12 @@ Err Ext4Mount::j_commit(bool flush_device) {
         bc.brelse(src.value());
       }
       tickets.push_back(bc.sync_dirty_buffers_async(jrun));
-      if (tickets.back().failed) {
-        for (auto* bh : jrun) bc.brelse(bh);
-        return abort_journal(Err::Io);
-      }
+      release(jrun);
+      if (tickets.back().failed) return abort_journal(Err::Io);
       sb_->bdev().trace_event(blk::TraceEv::JLogWrite, jseq_, 0,
                               static_cast<std::uint32_t>(n + 1),
                               blk::TraceOp::Journal);
-      if (tickets.back().done > 0) {
-        jstats_.jwrite_lat.record(tickets.back().done - t0);
-      }
-      for (auto* bh : jrun) bc.brelse(bh);
+      kern::record_stage(jstats_.jwrite_lat, t0, tickets.back().done);
     }
     // Commit record: strictly ordered after the journal data on media
     // (media effects land at submission, in submission order); only the
@@ -168,24 +149,17 @@ Err Ext4Mount::j_commit(bool flush_device) {
     if (!cb.ok()) return fail(cb.error());
     std::memcpy(cb.value()->bytes().data(), &commit, sizeof(commit));
     bc.mark_dirty(cb.value());
-    {
-      kern::BufferHead* cbh = cb.value();
-      tickets.push_back(bc.sync_dirty_buffers_async(
-          std::span<kern::BufferHead* const>(&cbh, 1)));
-      // Failed commit record: the transaction never committed — abort
-      // BEFORE the checkpoint, or uncommitted state reaches home
-      // locations with no durable record protecting it.
-      if (tickets.back().failed) {
-        bc.brelse(cb.value());
-        return abort_journal(Err::Io);
-      }
-      sb_->bdev().trace_event(blk::TraceEv::JCommitRecord, jseq_, 0, 1,
-                              blk::TraceOp::Journal);
-      if (tickets.back().done > 0) {
-        jstats_.record_lat.record(tickets.back().done - t0);
-      }
-    }
-    bc.brelse(cb.value());
+    kern::BufferHead* cbh = cb.value();
+    tickets.push_back(bc.sync_dirty_buffers_async(
+        std::span<kern::BufferHead* const>(&cbh, 1)));
+    bc.brelse(cbh);
+    // Failed commit record: the transaction never committed — abort
+    // BEFORE the checkpoint, or uncommitted state reaches home locations
+    // with no durable record protecting it.
+    if (tickets.back().failed) return abort_journal(Err::Io);
+    sb_->bdev().trace_event(blk::TraceEv::JCommitRecord, jseq_, 0, 1,
+                            blk::TraceOp::Journal);
+    kern::record_stage(jstats_.record_lat, t0, tickets.back().done);
 
     // Checkpoint: write home locations (device write cache; durability
     // comes from the journal + the fsync-path flush). Scattered blocks,
@@ -194,22 +168,20 @@ Err Ext4Mount::j_commit(bool flush_device) {
       std::vector<kern::BufferHead*> homes;
       homes.reserve(n);
       for (std::size_t i = 0; i < n; ++i) {
-        auto bh = bc.bread(running_txn_[written + i]);
+        auto bh = bc.bread(txn[written + i]);
         if (!bh.ok()) {
-          for (auto* h : homes) bc.brelse(h);
+          release(homes);
           return fail(bh.error());
         }
         bc.mark_dirty(bh.value());
         homes.push_back(bh.value());
       }
       tickets.push_back(bc.sync_dirty_buffers_async(homes));
+      release(homes);
       sb_->bdev().trace_event(blk::TraceEv::JCheckpoint, jseq_, 0,
                               static_cast<std::uint32_t>(n),
                               blk::TraceOp::Journal);
-      if (tickets.back().done > 0) {
-        jstats_.checkpoint_lat.record(tickets.back().done - t0);
-      }
-      for (auto* h : homes) bc.brelse(h);
+      kern::record_stage(jstats_.checkpoint_lat, t0, tickets.back().done);
     }
     jseq_ += 1;
     jstats_.commits += 1;
@@ -224,7 +196,7 @@ Err Ext4Mount::j_commit(bool flush_device) {
     // Durability barrier: every in-flight commit's transfers complete,
     // then the device FLUSH covers them.
     for (const blk::Ticket& t : tickets) bc.wait(t);
-    j_drain();
+    jpipeline_.drain(wait);
     flush_start_ = sim::now();
     sb_->bdev().flush();
     flush_end_ = sim::now();
@@ -238,13 +210,8 @@ Err Ext4Mount::j_commit(bool flush_device) {
     commit_end = std::max(commit_end, t.done);
   }
   last_commit_end_ = commit_end;
-  if (!jpipeline_enabled_) {
-    for (const blk::Ticket& t : tickets) bc.wait(t);
-    return Err::Ok;
-  }
-  if (!tickets.empty()) {
+  if (jpipeline_.push(std::move(tickets), wait)) {
     jstats_.pipelined_commits += 1;
-    jpipeline_.push_back(std::move(tickets));
   }
   return Err::Ok;
 }
@@ -263,7 +230,7 @@ Err Ext4Mount::j_force(std::uint64_t op_seq) {
       arrival >= flush_start_ && arrival < flush_end_ + kBatchSlack;
 
   sim::ScopedLock guard(journal_lock_);
-  if (jaborted_) return Err::Io;
+  if (running_txn_.aborted()) return Err::Io;
   if (committed_seq_ >= op_seq && running_txn_.empty()) {
     sim::current().wait_until(last_commit_end_);
     jstats_.shared_commits += 1;
@@ -272,7 +239,9 @@ Err Ext4Mount::j_force(std::uint64_t op_seq) {
   if (shares_flush) {
     const sim::Nanos ride_until = flush_end_;
     BSIM_TRY(j_commit(/*flush_device=*/false));
-    j_drain();  // fsync durability claim: transfers complete before return
+    // fsync durability claim: transfers complete before return.
+    auto& bc = sb_->bufcache();
+    jpipeline_.drain([&bc](const blk::Ticket& t) { bc.wait(t); });
     sim::current().wait_until(ride_until);
     jstats_.shared_commits += 1;
     return Err::Ok;
@@ -632,13 +601,10 @@ Err Ext4Mount::write_through_journal(kern::Inode& inode, std::uint64_t off,
   BSIM_TRY(iupdate(inode));
   op_seq_ += 1;
   // Stripe-aware clustering: align the threshold commit to whole stripe
-  // rows so the checkpoint hands each member a full merged share.
-  std::size_t threshold = kTxnCommitThreshold;
-  const std::uint64_t width = sb_->bdev().stripe_width_blocks();
-  if (width > 0 && width < threshold) {
-    threshold -= threshold % static_cast<std::size_t>(width);
-  }
-  if (running_txn_.size() >= threshold) {
+  // rows.
+  if (running_txn_.size() >= kern::stripe_aligned(
+                                 kTxnCommitThreshold,
+                                 sb_->bdev().stripe_width_blocks())) {
     sim::ScopedLock guard(journal_lock_);
     BSIM_TRY(j_commit(/*flush_device=*/false));
   }
@@ -1078,10 +1044,9 @@ class Ext4FsType final : public kern::FileSystemType {
     if (!mo.ok()) return mo.error();
     auto sb = std::make_unique<kern::SuperBlock>(dev, 16384);
     sb->fs_name = name_;
-    auto mnt = std::make_unique<Ext4Mount>(*sb);
+    auto mnt = std::make_unique<Ext4Mount>(*sb, mo.value());
     sb->fs_info = mnt.get();
     sb->s_op = mnt.get();
-    if (mo.value().nopipeline) mnt->set_pipeline(false);
     Err e = mnt->mount_init();
     if (e != Err::Ok) return e;
     Ext4Mount* m = mnt.get();

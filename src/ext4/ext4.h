@@ -2,7 +2,6 @@
 // See layout.h for what is and is not reproduced relative to real ext4.
 #pragma once
 
-#include <deque>
 #include <optional>
 #include <string>
 #include <unordered_map>
@@ -10,7 +9,9 @@
 
 #include "ext4/layout.h"
 #include "kernel/blockmap.h"
+#include "kernel/journal.h"
 #include "kernel/kernel.h"
+#include "kernel/mount_options.h"
 #include "sim/stats.h"
 
 namespace bsim::ext4 {
@@ -48,16 +49,15 @@ class Ext4Mount final : public kern::InodeOps,
                         public kern::AddressSpaceOps,
                         private kern::BlockMapOps {
  public:
-  explicit Ext4Mount(kern::SuperBlock& sb)
-      : sb_(&sb), tree_(sb.bufcache(), *this) {}
+  /// `mo.nopipeline` redeems every commit's tickets before returning
+  /// (the unpipelined oracle for the ablation/crash differentials).
+  Ext4Mount(kern::SuperBlock& sb, const kern::MountOptions& mo)
+      : sb_(&sb), jpipeline_(!mo.nopipeline), tree_(sb.bufcache(), *this) {}
 
   kern::Err mount_init();
   void dispose_inode(kern::Inode& inode);
 
   [[nodiscard]] const JournalStats& journal_stats() const { return jstats_; }
-  /// "-o nopipeline": redeem every commit's tickets before returning
-  /// (the unpipelined oracle for the ablation/crash differentials).
-  void set_pipeline(bool on) { jpipeline_enabled_ = on; }
   [[nodiscard]] MapStats map_stats() const;
   [[nodiscard]] std::uint64_t free_blocks_total() const;
   [[nodiscard]] std::uint64_t free_inodes_total() const;
@@ -119,16 +119,11 @@ class Ext4Mount final : public kern::InodeOps,
   void j_write(std::uint32_t blockno);
   /// Commit the running transaction (journal writes + commit record +
   /// checkpoint home blocks). Without `flush_device` the commit is
-  /// PIPELINED: every write rides an async ticket held in jpipeline_
-  /// (bounded depth; oldest redeemed first), so transaction N+1 opens
-  /// and absorbs writes while N's commit record and checkpoint are still
-  /// in flight — not just the checkpoint, as before. Journal-area reuse
-  /// is safe because all of N's writes are submitted (media order =
+  /// PIPELINED: its tickets stay in jpipeline_, so transaction N+1 fills
+  /// while N's commit record and checkpoint are in flight. Journal-area
+  /// reuse is safe because all of N's writes are submitted (media order =
   /// submission order) before N+1 copies over the area.
   kern::Err j_commit(bool flush_device);
-  /// Redeem the oldest in-flight commit / every in-flight commit.
-  void j_wait_oldest();
-  void j_drain();
   /// fsync path: make everything up to now durable; joins an in-flight
   /// group commit when possible.
   kern::Err j_force(std::uint64_t op_seq);
@@ -185,8 +180,7 @@ class Ext4Mount final : public kern::InodeOps,
   std::vector<std::uint32_t> bfloor_;
   sim::SimMutex journal_lock_;
   sim::SimMutex alloc_lock_;
-  std::vector<std::uint32_t> running_txn_;   // tagged home blocknos
-  std::uint64_t txn_first_op_ = 0;           // op seq opening the txn
+  kern::RunningTxn running_txn_;             // tagged home blocknos
   std::uint64_t op_seq_ = 0;                 // advances per mutating op
   std::uint64_t committed_seq_ = 0;          // ops covered by last commit
   sim::Nanos last_commit_end_ = 0;
@@ -196,15 +190,11 @@ class Ext4Mount final : public kern::InodeOps,
   // (JBD2's transaction batching) instead of issuing their own.
   sim::Nanos flush_start_ = -1;
   sim::Nanos flush_end_ = -1;
-  /// Commits whose transfers are still in flight, oldest first.
-  std::deque<std::vector<blk::Ticket>> jpipeline_;
-  bool jpipeline_enabled_ = true;  // "-o nopipeline" disables
+  /// Commits whose transfers are still in flight.
+  kern::CommitPipeline<blk::Ticket> jpipeline_;
   /// A commit wrote since the last device flush (the empty-commit /
   /// no-op-flush skip bookkeeping).
   bool jdirty_since_flush_ = false;
-  /// Journal aborted (a journal-area write failed on media). An aborted
-  /// journal never commits again; the mount's errors= policy was applied.
-  bool jaborted_ = false;
   JournalStats jstats_;
   kern::BlockMap tree_;
   std::uint64_t readpages_calls_ = 0;

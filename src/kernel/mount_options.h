@@ -58,8 +58,8 @@ struct MountOptions {
   bool noflusher = false;
 
   // ---- journals (xv6 Log and the C-kernel log; ext4 jbd: nopipeline) ----
-  /// max_log_batch=N; nogroup is max_log_batch=1.
-  std::optional<std::size_t> max_log_batch;
+  /// nogroup: commit at every closed op instead of pooling a group.
+  bool nogroup = false;
   bool nopipeline = false;
 
   // ---- FUSE transport ----
@@ -122,7 +122,7 @@ inline Result<MountOptions> MountOptions::parse(std::string_view opts) {
     } else if (tok == "noflusher") {
       mo.noflusher = true;
     } else if (tok == "nogroup") {
-      mo.max_log_batch = 1;
+      mo.nogroup = true;
     } else if (tok == "nopipeline") {
       mo.nopipeline = true;
     } else if (tok == "io_uring") {
@@ -147,8 +147,6 @@ inline Result<MountOptions> MountOptions::parse(std::string_view opts) {
       mo.retry_backoff = sim::usec(static_cast<sim::Nanos>(n));
     } else if (key == "io_deadline_ms" && numeric) {
       mo.io_deadline = sim::msec(static_cast<sim::Nanos>(n));
-    } else if (key == "max_log_batch" && positive) {
-      mo.max_log_batch = n;
     } else {
       return Err::Inval;
     }

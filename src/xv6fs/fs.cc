@@ -63,7 +63,7 @@ Err Xv6FileSystem::init(const Request&, SbRef sb) {
   ifloor_ = 0;
   bfloor_.assign(dsb_.nbitmap, 0);
 
-  BSIM_TRY(log_.init(sb.get(), dsb_, opts_.durability, opts_.log));
+  BSIM_TRY(log_.init(sb.get(), dsb_, opts_.durability, mount_opts_));
   BSIM_TRY(scan_free_counts(sb.get()));
   return Err::Ok;
 }

@@ -36,10 +36,6 @@ class Xv6FileSystem : public bento::FileSystem {
  public:
   struct Options {
     Durability durability = Durability::Relaxed;
-    /// Write-path tuning: group commit and pipelining. Mount options
-    /// override it field by field ("max_log_batch=N", "nogroup",
-    /// "nopipeline"; see apply_mount_options).
-    LogParams log;
     /// Version tag surfaced through FileSystem::version() (upgrade demos).
     std::string version = "xv6fs-v1";
   };
@@ -51,9 +47,10 @@ class Xv6FileSystem : public bento::FileSystem {
     return opts_.version;
   }
 
+  /// The log reads "nogroup" and "nopipeline" from these at init.
   void apply_mount_opts(std::string_view opts) override {
     auto mo = kern::MountOptions::parse(opts);
-    if (mo.ok()) opts_.log = apply_mount_options(opts_.log, mo.value());
+    if (mo.ok()) mount_opts_ = mo.value();
   }
 
   // ---- bento::FileSystem ----
@@ -174,6 +171,7 @@ class Xv6FileSystem : public bento::FileSystem {
   DiskSuperblock dsb_;
   Log log_;
   Options opts_;
+  kern::MountOptions mount_opts_;
   bento::Semaphore itable_lock_;
   bento::Semaphore alloc_lock_;  // the §6.1 allocation lock
   std::unordered_map<std::uint32_t, std::unique_ptr<MemInode>> itable_;

@@ -1,6 +1,5 @@
 #include "xv6fs/log.h"
 
-#include <algorithm>
 #include <cassert>
 #include <cstring>
 
@@ -13,21 +12,14 @@ using bento::SuperBlockCap;
 using bento::WriteTicket;
 using kern::Err;
 
-LogParams apply_mount_options(LogParams base, const kern::MountOptions& mo) {
-  base.max_log_batch = mo.max_log_batch.value_or(base.max_log_batch);
-  if (mo.nopipeline) base.pipeline = false;
-  return base;
-}
-
 Err Log::init(SuperBlockCap& sb, const DiskSuperblock& dsb,
-              Durability durability, LogParams params) {
+              Durability durability, const kern::MountOptions& mo) {
   dsb_ = dsb;
   durability_ = durability;
-  params_ = params;
-  pending_.clear();
-  inflight_.clear();
+  group_ = !mo.nogroup;
+  pipeline_ = kern::CommitPipeline<WriteTicket>(!mo.nopipeline);
+  txn_.clear();
   outstanding_ = 0;
-  ops_in_batch_ = 0;
   commits_since_flush_ = 0;
 
   // Crash recovery: a non-empty header means a committed-but-uninstalled
@@ -53,12 +45,11 @@ Err Log::init(SuperBlockCap& sb, const DiskSuperblock& dsb,
 void Log::adopt(const Snapshot& snap) {
   dsb_ = snap.dsb;
   durability_ = snap.durability;
-  params_ = snap.params;
+  group_ = snap.group;
+  pipeline_ = kern::CommitPipeline<WriteTicket>(snap.pipeline);
   stats_ = snap.stats;
-  pending_.clear();
-  inflight_.clear();
+  txn_.clear();
   outstanding_ = 0;
-  ops_in_batch_ = 0;
   commits_since_flush_ = 0;
 }
 
@@ -72,11 +63,11 @@ void Log::begin_op(SuperBlockCap& sb, std::uint32_t reserved) {
   // commit the pooled batch to make space; otherwise wait for the open
   // ops to close (xv6 sleeps on the log; here we yield virtual time and
   // re-check — the open ops only need bounded device time to finish).
+  // (After an abort nothing is pooled: only open ops hold admission.)
   lock_.acquire();
-  while (pending_.size() +
+  while (txn_.size() +
              (static_cast<std::size_t>(outstanding_) + 1) * kMaxOpBlocks >
          kLogSize) {
-    if (aborted_) break;  // nothing will ever commit; admission is moot
     if (outstanding_ == 0) {
       (void)commit(sb);
     } else {
@@ -86,7 +77,7 @@ void Log::begin_op(SuperBlockCap& sb, std::uint32_t reserved) {
     }
   }
   // A fresh batch (nothing open, nothing pooled) opens a new transaction.
-  if (outstanding_ == 0 && pending_.empty() && ops_in_batch_ == 0) {
+  if (outstanding_ == 0 && txn_.empty() && txn_.ops() == 0) {
     txn_seq_ += 1;
     sb.trace_journal(blk::TraceEv::TxnOpen, txn_seq_, 0);
   }
@@ -101,37 +92,23 @@ void Log::log_write(SuperBlockCap& sb, std::uint32_t blockno) {
   // record (the group-commit WAL invariant).
   sb.pin_journal(blockno);
   // Absorption: a block already in this transaction is not logged twice.
-  if (std::find(pending_.begin(), pending_.end(), blockno) !=
-      pending_.end()) {
+  if (txn_.tag(blockno) == kern::RunningTxn::Tag::Absorbed) {
     stats_.absorbed += 1;
-    return;
   }
-  assert(pending_.size() < kLogSize && "transaction overflows the log");
-  pending_.push_back(blockno);
-}
-
-std::size_t Log::group_threshold(SuperBlockCap& sb) const {
-  // Keep headroom for the next op, and align the trigger to whole stripe
-  // rows so the install batch hands every member a full merged share
-  // (the stripe-aware writeback clustering knob).
-  std::size_t cap = kLogSize - kMaxOpBlocks;
-  const std::uint64_t width = sb.stripe_width();
-  if (width > 0 && width < cap) {
-    cap -= cap % static_cast<std::size_t>(width);
-  }
-  return cap;
+  assert(txn_.size() <= kLogSize && "transaction overflows the log");
 }
 
 Err Log::end_op(SuperBlockCap& sb) {
   bento::SemGuard guard(lock_);
   assert(outstanding_ > 0);
   outstanding_ -= 1;
-  if (outstanding_ == 0 && !pending_.empty()) {
-    ops_in_batch_ += 1;
-    // Group commit: keep absorbing ops until the batch is full. fsync
-    // (force_commit) still commits immediately.
-    if (ops_in_batch_ >= std::max<std::size_t>(params_.max_log_batch, 1) ||
-        pending_.size() >= group_threshold(sb)) {
+  if (outstanding_ == 0 && !txn_.empty()) {
+    txn_.close_op();
+    // Group commit: keep absorbing ops until the batch is full, keeping
+    // headroom for the next op. fsync (force_commit) commits at once.
+    if (txn_.group_full(group_) ||
+        txn_.size() >= kern::stripe_aligned(kLogSize - kMaxOpBlocks,
+                                            sb.stripe_width())) {
       return commit(sb);
     }
   }
@@ -150,20 +127,21 @@ Err Log::force_commit(SuperBlockCap& sb) {
     sim::current().wait_until(sim::now() + sim::usec(10));
     lock_.acquire();
   }
-  if (aborted_) {
+  if (txn_.aborted()) {
     lock_.release();
     return Err::Io;
   }
+  auto wait = [&sb](const WriteTicket& t) { sb.wait(t); };
   Err e = Err::Ok;
-  if (!pending_.empty()) {
+  if (!txn_.empty()) {
     e = commit(sb);
-    drain(sb);  // fsync semantics: transfers complete before returning
-  } else if (inflight_.empty()) {
+    pipeline_.drain(wait);  // fsync: transfers complete before returning
+  } else if (pipeline_.empty()) {
     // Nothing pending and nothing in flight: the commit (and its header
     // write) would be a pure no-op — skip it instead of paying for it.
     stats_.empty_commits_skipped += 1;
   } else {
-    drain(sb);
+    pipeline_.drain(wait);
   }
   lock_.release();
   return e;
@@ -177,51 +155,37 @@ bool Log::flush_needed() {
   return true;
 }
 
-void Log::wait_oldest(SuperBlockCap& sb) {
-  if (inflight_.empty()) return;
-  for (const WriteTicket& t : inflight_.front()) sb.wait(t);
-  inflight_.pop_front();
-}
-
-void Log::drain(SuperBlockCap& sb) {
-  while (!inflight_.empty()) wait_oldest(sb);
-}
-
 Err Log::commit(SuperBlockCap& sb) {
-  if (aborted_) return Err::Io;
-  if (pending_.empty()) return Err::Ok;
-  // Bound the pipeline. Every write of an in-flight commit was already
-  // SUBMITTED (media effects land at submission, in program order), so
-  // reusing the log area below cannot reorder anything on media — only
-  // the transfers' completions are still outstanding, and we cap how
-  // many commits' worth of those we carry.
-  constexpr std::size_t kPipelineDepth = 2;
-  while (inflight_.size() >= kPipelineDepth) wait_oldest(sb);
+  if (txn_.empty()) return Err::Ok;  // also every commit after an abort
+  // Bound the pipeline. Reusing the log area below cannot reorder media:
+  // every write of an in-flight commit was already submitted.
+  auto wait = [&sb](const WriteTicket& t) { sb.wait(t); };
+  pipeline_.reserve(wait);
+  const std::vector<std::uint32_t>& pending = txn_.blocks();
 
-  // Stage latencies are measured from here: each stage's histogram records
-  // commit-entry -> that stage's transfer completion (ticket done time),
-  // so the three nest like a waterfall.
   const sim::Nanos t0 = sim::now();
   sb.trace_journal(blk::TraceEv::TxnClose, txn_seq_,
-                   static_cast<std::uint32_t>(pending_.size()));
+                   static_cast<std::uint32_t>(pending.size()));
 
   std::vector<WriteTicket> tickets;
   auto fail = [&](Err e) {
     for (const WriteTicket& t : tickets) sb.wait(t);
     return e;
   };
-  // Journal abort: a write INSIDE the journal protocol failed on media, so
-  // this transaction can never become durable. Crucially the commit record
-  // is never issued — recovery finds an empty header and replays nothing,
-  // leaving the pre-abort image. The pending blocks stay journal-pinned in
-  // the cache (writing them home now would put uncommitted state on disk);
-  // the mount's errors= policy decides what happens to the FS.
+  // Strict durability: a non-blocking FLUSH barrier after each stage.
+  auto barrier = [&] {
+    if (durability_ == Durability::Strict) {
+      tickets.push_back(sb.flush_all_async());
+    }
+  };
+  // Journal abort (kern::RunningTxn::abort): a journal write failed on
+  // media. The commit record is never issued, so recovery finds an empty
+  // header and replays nothing; the mount's errors= policy applies.
   auto abort_commit = [&](Err e) {
-    stats_.log_aborted += 1;
-    aborted_ = true;
-    pending_.clear();
-    ops_in_batch_ = 0;
-    sb.report_fs_error(e);
+    if (txn_.abort()) {
+      stats_.log_aborted += 1;
+      sb.report_fs_error(e);
+    }
     return fail(e);
   };
 
@@ -230,9 +194,9 @@ Err Log::commit(SuperBlockCap& sb) {
   //    merges it into a single multi-block device command.
   {
     std::vector<BufferHeadHandle> dsts;
-    dsts.reserve(pending_.size());
-    for (std::size_t i = 0; i < pending_.size(); ++i) {
-      auto src = sb.bread(pending_[i]);  // cached: holds the new contents
+    dsts.reserve(pending.size());
+    for (std::size_t i = 0; i < pending.size(); ++i) {
+      auto src = sb.bread(pending[i]);  // cached: holds the new contents
       if (!src.ok()) return fail(src.error());
       auto dst = sb.getblk(dsb_.logstart + 1 + static_cast<std::uint32_t>(i));
       if (!dst.ok()) return fail(dst.error());
@@ -246,23 +210,19 @@ Err Log::commit(SuperBlockCap& sb) {
     for (auto& h : dsts) batch.push_back(&h);
     tickets.push_back(sb.sync_batch_async(batch));
     sb.trace_journal(blk::TraceEv::JLogWrite, txn_seq_,
-                     static_cast<std::uint32_t>(pending_.size()));
+                     static_cast<std::uint32_t>(pending.size()));
     if (tickets.back().ticket.failed) return abort_commit(Err::Io);
-    if (tickets.back().ticket.done > 0) {
-      stats_.logwrite_lat.record(tickets.back().ticket.done - t0);
-    }
+    kern::record_stage(stats_.logwrite_lat, t0, tickets.back().ticket.done);
   }
-  if (durability_ == Durability::Strict) {
-    tickets.push_back(sb.flush_all_async());
-  }
+  barrier();
 
   // 2. Commit point: write the header naming the logged blocks. Submitted
   //    after the log run (media order is submission order), completion
   //    rides its ticket.
   LogHeader header;
-  header.n = static_cast<std::uint32_t>(pending_.size());
-  for (std::size_t i = 0; i < pending_.size(); ++i) {
-    header.blocks[i] = pending_[i];
+  header.n = static_cast<std::uint32_t>(pending.size());
+  for (std::size_t i = 0; i < pending.size(); ++i) {
+    header.blocks[i] = pending[i];
   }
   {
     const Err e = write_header_async(sb, header, tickets);
@@ -272,51 +232,33 @@ Err Log::commit(SuperBlockCap& sb) {
     // commit record would put uncommitted state on media unprotected.
     if (tickets.back().ticket.failed) return abort_commit(Err::Io);
     sb.trace_journal(blk::TraceEv::JCommitRecord, txn_seq_, 1);
-    if (tickets.back().ticket.done > 0) {
-      stats_.record_lat.record(tickets.back().ticket.done - t0);
-    }
+    kern::record_stage(stats_.record_lat, t0, tickets.back().ticket.done);
   }
-  if (durability_ == Durability::Strict) {
-    tickets.push_back(sb.flush_all_async());
-  }
+  barrier();
 
-  // 3+4. Install to home locations, then clear the header. In Strict
-  //      mode the FLUSH barrier between them is issued through the
-  //      non-blocking flush so the pipeline still overlaps its completion.
+  // 3+4. Install to home locations, then clear the header.
   {
     const Err e = install(sb, header, /*recovering=*/false, &tickets);
     if (e != Err::Ok) return fail(e);
     sb.trace_journal(blk::TraceEv::JCheckpoint, txn_seq_, header.n);
-    if (tickets.back().ticket.done > 0) {
-      stats_.checkpoint_lat.record(tickets.back().ticket.done - t0);
-    }
+    kern::record_stage(stats_.checkpoint_lat, t0, tickets.back().ticket.done);
   }
-  if (durability_ == Durability::Strict) {
-    tickets.push_back(sb.flush_all_async());
-  }
+  barrier();
   header = LogHeader{};
   {
     const Err e = write_header_async(sb, header, tickets);
     if (e != Err::Ok) return fail(e);
   }
-  if (durability_ == Durability::Strict) {
-    tickets.push_back(sb.flush_all_async());
-  }
+  barrier();
 
   stats_.commits += 1;
-  stats_.blocks_logged += pending_.size();
-  stats_.ops_committed += ops_in_batch_;
-  if (ops_in_batch_ > 1) stats_.group_commits += 1;
+  stats_.blocks_logged += pending.size();
+  stats_.ops_committed += txn_.ops();
+  if (txn_.ops() > 1) stats_.group_commits += 1;
   commits_since_flush_ += 1;
-  pending_.clear();
-  ops_in_batch_ = 0;
+  txn_.clear();
 
-  if (!params_.pipeline) {
-    for (const WriteTicket& t : tickets) sb.wait(t);
-    return Err::Ok;
-  }
-  stats_.pipelined_commits += 1;
-  inflight_.push_back(std::move(tickets));
+  if (pipeline_.push(std::move(tickets), wait)) stats_.pipelined_commits += 1;
   return Err::Ok;
 }
 

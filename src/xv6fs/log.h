@@ -6,26 +6,21 @@
 // blocks to their home locations, then clears the header.
 //
 // Two throughput mechanisms sit on top of the base protocol (both jbd2
-// techniques; see ISSUE 5 / ARCHITECTURE.md write path):
+// techniques; see ARCHITECTURE.md write path), on the shared journal core
+// (kernel/journal.h: running transaction, abort latch, commit pipeline):
 //
-//   Group commit — end_op no longer commits the moment the op count
-//   drains. Ops accumulate into one running transaction until
-//   `max_log_batch` ops have closed or the pending dirty-block count
-//   reaches a stripe-width-aligned threshold; fsync (force_commit) still
-//   forces immediately. While blocks are pending they are PINNED in the
-//   buffer cache (BufferHead::jdirty), so background writeback cannot
-//   put unjournaled state on media ahead of the commit record.
+//   Group commit — ops accumulate into one running transaction until
+//   kern::kGroupCommitOps ops have closed (one under "nogroup") or the
+//   pending block count reaches a stripe-aligned threshold; fsync
+//   (force_commit) forces at once. Pending blocks are PINNED in the
+//   buffer cache (BufferHead::jdirty), so background writeback cannot put
+//   unjournaled state on media ahead of the commit record.
 //
 //   Pipelined commit — the commit's writes (log run, header, install,
-//   clear) are submitted on async tickets; media effects land at
-//   submission in program order, so crash semantics are unchanged, but
-//   the committing thread does not wait for the transfers. Transaction
-//   N+1 opens and absorbs writes while N's commit record and checkpoint
-//   are still in flight; at most two commits stay outstanding (the
-//   oldest is redeemed first), and force_commit drains everything
-//   before fsync's durability barrier. Log-area reuse is safe
-//   because all of commit N's writes are submitted before N+1 copies
-//   over the area — only completions are outstanding.
+//   clear) ride async tickets, and transaction N+1 fills while N's are in
+//   flight; force_commit drains them before fsync's durability barrier.
+//   Log-area reuse is safe because all of commit N's writes are submitted
+//   (media order is submission order) before N+1 copies over the area.
 //
 // Durability has two modes:
 //   Relaxed — synchronous writes only, no device FLUSH barriers. This is
@@ -42,11 +37,11 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <vector>
 
 #include "bento/kernel_services.h"
 #include "kernel/errno.h"
+#include "kernel/journal.h"
 #include "kernel/mount_options.h"
 #include "sim/stats.h"
 #include "xv6fs/layout.h"
@@ -54,22 +49,6 @@
 namespace bsim::xv6 {
 
 enum class Durability { Relaxed, Strict };
-
-/// Write-path tuning (mount options; see apply_mount_options).
-struct LogParams {
-  /// Group commit: ops absorbed into one transaction before end_op
-  /// forces a commit. 1 = commit per op (the pre-pipelining behaviour).
-  std::size_t max_log_batch = 8;
-  /// Pipelined commits ("nopipeline" disables): submit commit writes on
-  /// async tickets and only redeem them when the pipeline depth is
-  /// exceeded (or at fsync).
-  bool pipeline = true;
-};
-
-/// `base` with the journal fields the mount options set (max_log_batch=N
-/// or nogroup, nopipeline) overriding it; fields the options
-/// leave unset keep the caller's configuration.
-LogParams apply_mount_options(LogParams base, const kern::MountOptions& mo);
 
 struct LogStats {
   std::uint64_t commits = 0;
@@ -95,9 +74,11 @@ class Log {
   Log(const Log&) = delete;
   Log& operator=(const Log&) = delete;
 
-  /// Mount-time initialization + crash recovery.
+  /// Mount-time initialization + crash recovery. `mo` selects the write
+  /// path: nogroup (commit every op) and nopipeline (redeem every commit
+  /// before returning).
   kern::Err init(bento::SuperBlockCap& sb, const DiskSuperblock& dsb,
-                 Durability durability, LogParams params = {});
+                 Durability durability, const kern::MountOptions& mo = {});
 
   /// Open a transaction expected to touch at most `reserved` blocks
   /// (must be <= kMaxOpBlocks).
@@ -109,8 +90,8 @@ class Log {
   void log_write(bento::SuperBlockCap& sb, std::uint32_t blockno);
 
   /// Close the transaction; commits when no other operation is open AND
-  /// the group-commit batch is full (max_log_batch ops or the pending
-  /// dirty-block threshold).
+  /// the group-commit batch is full (kern::kGroupCommitOps ops, or the
+  /// pending dirty-block threshold).
   kern::Err end_op(bento::SuperBlockCap& sb);
 
   /// Force a commit of any pending writes and drain the commit pipeline
@@ -125,35 +106,24 @@ class Log {
   void note_flushed() { commits_since_flush_ = 0; }
 
   [[nodiscard]] const LogStats& stats() const { return stats_; }
-  /// Whether the journal has aborted (a journal write failed on media).
-  /// An aborted log never commits again: end_op/force_commit fail with
-  /// Err::Io and the mount's errors= policy has been applied.
-  [[nodiscard]] bool aborted() const { return aborted_; }
-  [[nodiscard]] Durability durability() const { return durability_; }
-  [[nodiscard]] const LogParams& params() const { return params_; }
 
   /// Export/import for online upgrade: the log must be empty (committed
-  /// and drained) at transfer time; this carries geometry + stats across
-  /// versions.
+  /// and drained) at transfer time; this carries geometry, the group and
+  /// pipeline settings and stats across versions.
   struct Snapshot {
     DiskSuperblock dsb;
     Durability durability = Durability::Relaxed;
-    LogParams params;
+    bool group = true;
+    bool pipeline = true;
     LogStats stats;
   };
   [[nodiscard]] Snapshot snapshot() const {
-    return {dsb_, durability_, params_, stats_};
+    return {dsb_, durability_, group_, pipeline_.pipelined(), stats_};
   }
   void adopt(const Snapshot& snap);
 
  private:
   kern::Err commit(bento::SuperBlockCap& sb);
-  /// Redeem the oldest in-flight commit's tickets.
-  void wait_oldest(bento::SuperBlockCap& sb);
-  /// Redeem every in-flight commit (fsync / unmount barrier).
-  void drain(bento::SuperBlockCap& sb);
-  /// Pending-block count that triggers a group commit (stripe-aligned).
-  [[nodiscard]] std::size_t group_threshold(bento::SuperBlockCap& sb) const;
   /// Install logged blocks to their home locations. With `out_tickets`
   /// the checkpoint batch rides async tickets appended there (the
   /// pipelined path); otherwise install waits itself (recovery).
@@ -168,15 +138,11 @@ class Log {
 
   DiskSuperblock dsb_;
   Durability durability_ = Durability::Relaxed;
-  LogParams params_;
+  bool group_ = true;  // "nogroup" commits at every op
   bento::Semaphore lock_;
-  bool aborted_ = false;
   int outstanding_ = 0;
-  std::vector<std::uint32_t> pending_;
-  /// Ops closed into the currently-pending (uncommitted) transaction.
-  std::size_t ops_in_batch_ = 0;
-  /// Tickets of commits whose transfers are still in flight, oldest first.
-  std::deque<std::vector<bento::WriteTicket>> inflight_;
+  kern::RunningTxn txn_;
+  kern::CommitPipeline<bento::WriteTicket> pipeline_;
   /// Commits since the last durability barrier (flush-skip bookkeeping).
   std::uint64_t commits_since_flush_ = 0;
   /// Transaction sequence for the TO/TC/JW/JR/JK tracepoints; bumped when

@@ -46,7 +46,7 @@ void Xv6cMount::log_begin() {
   // pooled batch can be committed to make space; otherwise wait for the
   // open ops to close (xv6 sleeps on the log).
   log_lock_.lock();
-  while (log_pending_.size() +
+  while (log_txn_.size() +
              (static_cast<std::size_t>(log_outstanding_) + 1) * kMaxOpBlocks >
          kLogSize) {
     if (log_outstanding_ == 0) {
@@ -67,26 +67,21 @@ void Xv6cMount::log_write(std::uint64_t blockno) {
   // background writeback must not land it ahead of the commit record
   // (essential once group commit leaves blocks pending across ops).
   sb_->bufcache().pin_journal(blockno, true);
-  if (std::find(log_pending_.begin(), log_pending_.end(), b) !=
-      log_pending_.end()) {
-    return;  // absorbed
-  }
-  assert(log_pending_.size() < kLogSize);
-  log_pending_.push_back(b);
+  (void)log_txn_.tag(b);
+  assert(log_txn_.size() <= kLogSize);
 }
 
 Err Xv6cMount::log_end() {
   log_lock_.lock();
   log_outstanding_ -= 1;
   Err e = Err::Ok;
-  if (log_outstanding_ == 0 && !log_pending_.empty()) {
-    log_ops_in_batch_ += 1;
+  if (log_outstanding_ == 0 && !log_txn_.empty()) {
+    log_txn_.close_op();
     // Group commit (the one write-path technique the C baseline shares
     // with the Bento port): absorb ops until the batch or block
     // threshold; fsync/sync force via log_force().
-    if (log_ops_in_batch_ >=
-            std::max<std::size_t>(log_params_.max_log_batch, 1) ||
-        log_pending_.size() >= kLogSize - kMaxOpBlocks) {
+    if (log_txn_.group_full(log_group_) ||
+        log_txn_.size() >= kLogSize - kMaxOpBlocks) {
       e = log_commit();
     }
   }
@@ -105,7 +100,11 @@ Err Xv6cMount::log_force() {
     log_lock_.lock();
   }
   Err e = Err::Ok;
-  if (log_aborted_ || !log_pending_.empty()) e = log_commit();
+  if (log_txn_.aborted()) {
+    e = Err::Io;  // the log stays dead
+  } else if (!log_txn_.empty()) {
+    e = log_commit();
+  }
   log_lock_.unlock();
   return e;
 }
@@ -123,27 +122,20 @@ Err Xv6cMount::log_header_write(const LogHeader& h) {
 
 Err Xv6cMount::log_commit() {
   auto& bc = sb_->bufcache();
-  // Journal abort: a write INSIDE the journal protocol failed, so this
-  // transaction can never become durable. The commit record is never
-  // issued — recovery finds an empty header and replays nothing. The
-  // pending blocks stay journal-pinned in the cache (writing them home
-  // would put uncommitted state on disk); the mount's errors= policy
-  // decides what happens to the file system, and every later commit
-  // fails with EIO.
+  // Journal abort (kern::RunningTxn::abort): a log write failed. The
+  // commit record is never issued, so recovery finds an empty header and
+  // replays nothing; the mount's errors= policy applies.
   auto abort_log = [&](Err e) {
-    if (!log_aborted_) {
-      log_aborted_ = true;
+    if (log_txn_.abort()) {
       log_stats_.log_aborted += 1;
       sb_->fs_error(e);
     }
-    log_pending_.clear();
-    log_ops_in_batch_ = 0;
     return Err::Io;
   };
-  if (log_aborted_) return abort_log(Err::Io);
+  const std::vector<std::uint32_t>& pending = log_txn_.blocks();
   // Copy to the log area.
-  for (std::size_t i = 0; i < log_pending_.size(); ++i) {
-    auto src = bc.bread(log_pending_[i]);
+  for (std::size_t i = 0; i < pending.size(); ++i) {
+    auto src = bc.bread(pending[i]);
     if (!src.ok()) return src.error();
     auto dst = bc.getblk(dsb_.logstart + 1 + static_cast<std::uint32_t>(i));
     if (!dst.ok()) {
@@ -160,13 +152,13 @@ Err Xv6cMount::log_commit() {
   }
   // Commit record.
   LogHeader h;
-  h.n = static_cast<std::uint32_t>(log_pending_.size());
-  for (std::size_t i = 0; i < log_pending_.size(); ++i) {
-    h.blocks[i] = log_pending_[i];
+  h.n = static_cast<std::uint32_t>(pending.size());
+  for (std::size_t i = 0; i < pending.size(); ++i) {
+    h.blocks[i] = pending[i];
   }
   if (const Err e = log_header_write(h); e != Err::Ok) return abort_log(e);
   // Install home locations.
-  for (const std::uint32_t blockno : log_pending_) {
+  for (const std::uint32_t blockno : pending) {
     auto bh = bc.bread(blockno);
     if (!bh.ok()) return bh.error();
     bc.mark_dirty(bh.value());
@@ -177,11 +169,10 @@ Err Xv6cMount::log_commit() {
   // at home; replaying them at the next mount is idempotent.
   (void)log_header_write(LogHeader{});
   log_stats_.commits += 1;
-  log_stats_.blocks_logged += log_pending_.size();
-  log_stats_.ops_committed += log_ops_in_batch_;
-  if (log_ops_in_batch_ > 1) log_stats_.group_commits += 1;
-  log_ops_in_batch_ = 0;
-  log_pending_.clear();
+  log_stats_.blocks_logged += pending.size();
+  log_stats_.ops_committed += log_txn_.ops();
+  if (log_txn_.ops() > 1) log_stats_.group_commits += 1;
+  log_txn_.clear();
   return Err::Ok;
 }
 
@@ -899,11 +890,9 @@ class Xv6cFsType final : public kern::FileSystemType {
     if (!mo.ok()) return mo.error();
     auto sb = std::make_unique<kern::SuperBlock>(dev, 16384);
     sb->fs_name = name_;
-    auto mnt = std::make_unique<Xv6cMount>(*sb);
+    auto mnt = std::make_unique<Xv6cMount>(*sb, mo.value());
     sb->fs_info = mnt.get();
     sb->s_op = mnt.get();
-    mnt->set_log_params(
-        xv6::apply_mount_options(xv6::LogParams{}, mo.value()));
     Err e = mnt->mount_init();
     if (e != Err::Ok) return e;
     // Background writeback for the kernel (C-VFS) deployment, same

@@ -20,9 +20,10 @@
 #include <vector>
 
 #include "kernel/blockmap.h"
+#include "kernel/journal.h"
 #include "kernel/kernel.h"
+#include "kernel/mount_options.h"
 #include "xv6fs/layout.h"
-#include "xv6fs/log.h"  // LogParams (group-commit tuning)
 
 namespace bsim::xv6c {
 
@@ -41,18 +42,17 @@ class Xv6cMount final : public kern::InodeOps,
                         public kern::AddressSpaceOps,
                         private kern::BlockMapOps {
  public:
-  explicit Xv6cMount(kern::SuperBlock& sb)
-      : sb_(&sb), tree_(sb.bufcache(), *this) {}
+  /// `mo.nogroup` commits at every op instead of pooling a group (the C
+  /// baseline keeps its synchronous per-buffer commit path — only the
+  /// cross-operation batching applies, pipelining is a Bento-side thing).
+  Xv6cMount(kern::SuperBlock& sb, const kern::MountOptions& mo)
+      : sb_(&sb), tree_(sb.bufcache(), *this), log_group_(!mo.nogroup) {}
 
   kern::Err mount_init();
   /// Unmount-time cleanup of the C-style per-inode state.
   void dispose_inode(kern::Inode& inode);
 
   [[nodiscard]] const CLogStats& log_stats() const { return log_stats_; }
-  /// Group-commit tuning (parsed from mount opts by the fs type; the C
-  /// baseline keeps its synchronous per-buffer commit path — only the
-  /// cross-operation batching applies, pipelining is a Bento-side thing).
-  void set_log_params(const xv6::LogParams& p) { log_params_ = p; }
 
   // InodeOps
   kern::Result<kern::Inode*> lookup(kern::Inode& dir,
@@ -147,11 +147,8 @@ class Xv6cMount final : public kern::InodeOps,
   sim::SimMutex log_lock_;      // the log serializes transactions
   sim::SimMutex alloc_lock_;    // §6.1 allocation locks
   int log_outstanding_ = 0;
-  std::vector<std::uint32_t> log_pending_;
-  xv6::LogParams log_params_;   // max_log_batch
-  std::size_t log_ops_in_batch_ = 0;
-  /// A log write failed: no later commit may run (xv6::Log's abort).
-  bool log_aborted_ = false;
+  kern::RunningTxn log_txn_;
+  bool log_group_ = true;  // "nogroup" commits at every op
   CLogStats log_stats_;
   std::uint64_t free_blocks_ = 0;
   std::uint64_t free_inodes_ = 0;

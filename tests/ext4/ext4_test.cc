@@ -101,6 +101,26 @@ TEST_F(Ext4Test, ThresholdCommitsArePipelined) {
   ASSERT_EQ(Err::Ok, kernel_.close(proc(), fd.value()));
 }
 
+TEST_F(Ext4Test, NopipelineRedeemsThresholdCommitsAtOnce) {
+  // The same threshold commits on a "-o nopipeline" mount redeem their
+  // tickets before returning: none is ever left in flight.
+  ASSERT_EQ(Err::Ok, kernel_.umount("/mnt"));
+  ASSERT_EQ(Err::Ok, kernel_.mount("ext4j", "ssd0", "/mnt", "nopipeline"));
+  mount_ = static_cast<ext4::Ext4Mount*>(kernel_.sb_at("/mnt")->fs_info);
+  auto fd = kernel_.open(proc(), "/mnt/pipe", kern::kOCreat | kern::kOWrOnly);
+  ASSERT_TRUE(fd.ok());
+  std::vector<std::byte> mb(1 << 20, std::byte{3});
+  const auto commits = mount_->journal_stats().commits;
+  const auto before = mount_->journal_stats().pipelined_commits;
+  for (int i = 0; i < 16; ++i) {  // 16 MiB > kTxnCommitThreshold blocks
+    ASSERT_TRUE(kernel_.write(proc(), fd.value(), mb).ok());
+  }
+  ASSERT_EQ(Err::Ok, kernel_.fsync(proc(), fd.value()));
+  EXPECT_GT(mount_->journal_stats().commits, commits + 1);  // thresholds hit
+  EXPECT_EQ(mount_->journal_stats().pipelined_commits, before);
+  ASSERT_EQ(Err::Ok, kernel_.close(proc(), fd.value()));
+}
+
 TEST_F(Ext4Test, JournalRecoveryReplaysCommittedTransaction) {
   // Write + fsync, snapshot the device, then re-point a fresh kernel at
   // the snapshot: mount-time recovery must yield the same contents.

@@ -7,13 +7,13 @@
 //   - A writeback failure that happened on nobody's clock (background
 //     drain) surfaces at each open descriptor's NEXT fsync — once per
 //     descriptor, never twice.
-//   - A failed journal write aborts the journal: fsync fails with EIO,
-//     the mount degrades per its errors= policy (remount-ro default:
-//     writes fail EROFS, reads keep serving; errors=continue keeps the
-//     mount writable-in-cache but the journal stays dead).
-//   - The C-kernel (xv6_vfs) log aborts the same way: a failed log write
-//     stops the commit before its commit record, so a crash afterwards
-//     recovers the pre-abort image.
+//   - A failed journal write aborts the journal — on the xv6 Bento log,
+//     the C-kernel (xv6_vfs) log and ext4's jbd alike: fsync fails with
+//     EIO, the commit stops before its commit record (a crash afterwards
+//     recovers the pre-abort image), and the mount degrades per its
+//     errors= policy (remount-ro default: writes fail EROFS, reads keep
+//     serving; errors=continue keeps serving every later op from cache
+//     while every fsync keeps failing).
 //   - A transient fault retried to success by the request queue's
 //     RetryPolicy is invisible to fsync: no residual error, no abort.
 #include <gtest/gtest.h>
@@ -68,7 +68,6 @@ constexpr std::uint64_t kBlocks = 16384;  // 64 MiB
 struct Bed {
   kern::Kernel kernel;
   blk::BlockDevice* dev = nullptr;
-  xv6::DiskSuperblock dsb;
 };
 
 /// A kernel with a formatted xv6 device mounted at /mnt via Bento.
@@ -76,7 +75,7 @@ void make_bed(Bed& bed, std::string_view opts = "") {
   blk::DeviceParams params;
   params.nblocks = kBlocks;
   bed.dev = &bed.kernel.add_device("ssd0", params);
-  bed.dsb = xv6::mkfs(*bed.dev, /*ninodes=*/512);
+  xv6::mkfs(*bed.dev, /*ninodes=*/512);
   bento::register_bento_fs(bed.kernel, "xv6_bento", [] {
     return std::make_unique<xv6::Xv6FileSystem>();
   });
@@ -136,83 +135,6 @@ TEST(WritebackErrseq, BackgroundFailureReportedOncePerDescriptor) {
   EXPECT_EQ(Err::Ok, kernel.umount("/mnt"));
 }
 
-TEST(JournalAbort, FailedJournalWriteFlipsMountReadOnly) {
-  sim::SimThread thread(0);
-  sim::ScopedThread in(thread);
-  Bed bed;
-  make_bed(bed);  // default policy: errors=remount-ro
-  auto& kernel = bed.kernel;
-  auto& p = kernel.proc();
-
-  // A healthy committed file, read back after the abort.
-  auto keep = kernel.open(p, "/mnt/keep", kern::kOCreat | kern::kORdWr);
-  ASSERT_TRUE(keep.ok());
-  ASSERT_TRUE(kernel.write(p, keep.value(), as_bytes("survives")).ok());
-  ASSERT_EQ(Err::Ok, kernel.fsync(p, keep.value()));
-
-  // Poison the journal area: the log run's first payload block. The next
-  // commit's stage-1 write fails before the commit record is ever issued.
-  bed.dev->inject_write_error(bed.dsb.logstart + 1);
-  auto fd = kernel.open(p, "/mnt/doomed", kern::kOCreat | kern::kORdWr);
-  ASSERT_TRUE(fd.ok());
-  ASSERT_TRUE(kernel.write(p, fd.value(), as_bytes("never durable")).ok());
-  EXPECT_EQ(kernel.fsync(p, fd.value()), Err::Io);
-
-  kern::SuperBlock* sb = kernel.sb_at("/mnt");
-  EXPECT_TRUE(sb->read_only());
-  EXPECT_EQ(sb->fs_error_seen(), Err::Io);
-  EXPECT_EQ(log_stats(kernel).log_aborted, 1u);
-
-  // Writes fail with EROFS across the mutating syscalls...
-  auto w = kernel.write(p, fd.value(), as_bytes("x"));
-  ASSERT_FALSE(w.ok());
-  EXPECT_EQ(w.error(), Err::RoFs);
-  EXPECT_FALSE(kernel.open(p, "/mnt/new", kern::kOCreat).ok());
-  EXPECT_EQ(kernel.mkdir(p, "/mnt/dir"), Err::RoFs);
-  EXPECT_EQ(kernel.unlink(p, "/mnt/keep"), Err::RoFs);
-  EXPECT_EQ(kernel.rename(p, "/mnt/keep", "/mnt/keep2"), Err::RoFs);
-
-  // ...and a second fsync keeps failing (the journal never recovers in
-  // this mount), but does NOT double-count the abort.
-  EXPECT_EQ(kernel.fsync(p, fd.value()), Err::Io);
-  EXPECT_EQ(log_stats(kernel).log_aborted, 1u);
-
-  // Reads keep serving: the pre-abort committed file is intact.
-  std::vector<std::byte> buf(16);
-  auto r = kernel.pread(p, keep.value(), buf, 0);
-  ASSERT_TRUE(r.ok());
-  EXPECT_EQ(to_string({buf.data(), r.value()}), "survives");
-
-  EXPECT_EQ(Err::Ok, kernel.close(p, fd.value()));
-  EXPECT_EQ(Err::Ok, kernel.close(p, keep.value()));
-  EXPECT_EQ(Err::Ok, kernel.umount("/mnt"));
-}
-
-TEST(JournalAbort, ErrorsContinueKeepsServingWithoutRoFlip) {
-  sim::SimThread thread(0);
-  sim::ScopedThread in(thread);
-  Bed bed;
-  make_bed(bed, "errors=continue");
-  auto& kernel = bed.kernel;
-  auto& p = kernel.proc();
-
-  bed.dev->inject_write_error(bed.dsb.logstart + 1);
-  auto fd = kernel.open(p, "/mnt/f", kern::kOCreat | kern::kORdWr);
-  ASSERT_TRUE(fd.ok());
-  ASSERT_TRUE(kernel.write(p, fd.value(), as_bytes("data")).ok());
-  EXPECT_EQ(kernel.fsync(p, fd.value()), Err::Io);
-
-  kern::SuperBlock* sb = kernel.sb_at("/mnt");
-  EXPECT_EQ(sb->fs_error_seen(), Err::Io);
-  EXPECT_FALSE(sb->read_only());  // continue: no EROFS flip...
-  EXPECT_TRUE(kernel.write(p, fd.value(), as_bytes("more")).ok());
-  // ...but the journal stays aborted: durability is gone for good.
-  EXPECT_EQ(kernel.fsync(p, fd.value()), Err::Io);
-
-  EXPECT_EQ(Err::Ok, kernel.close(p, fd.value()));
-  EXPECT_EQ(Err::Ok, kernel.umount("/mnt"));
-}
-
 /// Every block of `dev`'s media state (untimed).
 std::vector<blk::BlockData> image_of(blk::BlockDevice& dev) {
   std::vector<blk::BlockData> img(dev.nblocks());
@@ -222,71 +144,176 @@ std::vector<blk::BlockData> image_of(blk::BlockDevice& dev) {
   return img;
 }
 
-TEST(JournalAbort, CKernelLogWriteFailureAbortsBeforeCommitRecord) {
-  sim::SimThread thread(0);
-  sim::ScopedThread in(thread);
-  kern::Kernel kernel;
-  blk::DeviceParams params;
-  params.nblocks = kBlocks;
-  auto& dev = kernel.add_device("ssd0", params);
-  const xv6::DiskSuperblock dsb = xv6::mkfs(dev, /*ninodes=*/512);
-  xv6c::register_xv6c(kernel, "xv6_vfs");
-  ASSERT_EQ(Err::Ok, kernel.mount("xv6_vfs", "ssd0", "/mnt"));
-  dev.enable_crash_tracking();
-  auto& p = kernel.proc();
+/// One journaled deployment (the parameter) on a fresh image with 4096
+/// inodes, and the first payload block of its journal area — poisoning it
+/// fails the next commit's first journal write.
+class JournalAbort : public ::testing::TestWithParam<const char*> {
+ protected:
+  void mount(std::string_view opts = "") {
+    params_.nblocks = kBlocks;
+    dev_ = &kernel_.add_device("ssd0", params_);
+    journal_payload_ = fs() == "ext4j"
+                           ? ext4::mkfs(*dev_, /*inodes_per_group=*/4096)
+                                     .jstart + 1
+                           : xv6::mkfs(*dev_, /*ninodes=*/4096).logstart + 1;
+    register_all_xv6(kernel_);
+    ASSERT_EQ(Err::Ok, kernel_.mount(fs(), "ssd0", "/mnt", opts));
+  }
 
-  auto keep = kernel.open(p, "/mnt/keep", kern::kOCreat | kern::kORdWr);
+  [[nodiscard]] std::string fs() const { return GetParam(); }
+
+  /// The mount's journal-abort counter.
+  std::uint64_t aborts() {
+    void* info = kernel_.sb_at("/mnt")->fs_info;
+    if (fs() == "ext4j") {
+      return static_cast<ext4::Ext4Mount*>(info)->journal_stats().jbd_aborted;
+    }
+    if (fs() == "xv6_vfs") {
+      return static_cast<xv6c::Xv6cMount*>(info)->log_stats().log_aborted;
+    }
+    return log_stats(kernel_).log_aborted;
+  }
+
+  sim::SimThread thread_{0};
+  sim::ScopedThread in_{thread_};
+  kern::Kernel kernel_;
+  blk::DeviceParams params_;
+  blk::BlockDevice* dev_ = nullptr;
+  std::uint64_t journal_payload_ = 0;
+};
+
+TEST_P(JournalAbort, FailedJournalWriteFlipsMountReadOnly) {
+  mount();  // default policy: errors=remount-ro
+  dev_->enable_crash_tracking();
+  auto& p = kernel_.proc();
+
+  // A healthy committed file, read back after the abort.
+  auto keep = kernel_.open(p, "/mnt/keep", kern::kOCreat | kern::kORdWr);
   ASSERT_TRUE(keep.ok());
-  ASSERT_TRUE(kernel.write(p, keep.value(), as_bytes("survives")).ok());
-  ASSERT_EQ(Err::Ok, kernel.fsync(p, keep.value()));
-  const std::vector<blk::BlockData> pre_abort = image_of(dev);
+  ASSERT_TRUE(kernel_.write(p, keep.value(), as_bytes("survives")).ok());
+  ASSERT_EQ(Err::Ok, kernel_.fsync(p, keep.value()));
+  const std::vector<blk::BlockData> pre_abort = image_of(*dev_);
 
-  // Poison the log run's first payload block: the next commit's first
-  // log write fails, and the commit record must never follow it.
-  dev.inject_write_error(dsb.logstart + 1);
-  auto fd = kernel.open(p, "/mnt/doomed", kern::kOCreat | kern::kORdWr);
+  // Poison the journal area: the next commit's first journal write fails,
+  // and the commit record must never follow it.
+  dev_->inject_write_error(journal_payload_);
+  auto fd = kernel_.open(p, "/mnt/doomed", kern::kOCreat | kern::kORdWr);
   ASSERT_TRUE(fd.ok());
-  ASSERT_TRUE(kernel.write(p, fd.value(), as_bytes("never durable")).ok());
-  EXPECT_EQ(kernel.fsync(p, fd.value()), Err::Io);
+  ASSERT_TRUE(kernel_.write(p, fd.value(), as_bytes("never durable")).ok());
+  EXPECT_EQ(kernel_.fsync(p, fd.value()), Err::Io);
 
-  kern::SuperBlock* sb = kernel.sb_at("/mnt");
+  kern::SuperBlock* sb = kernel_.sb_at("/mnt");
   EXPECT_TRUE(sb->read_only());
   EXPECT_EQ(sb->fs_error_seen(), Err::Io);
-  const auto* mnt = static_cast<const xv6c::Xv6cMount*>(sb->fs_info);
-  EXPECT_EQ(mnt->log_stats().log_aborted, 1u);
-  EXPECT_EQ(kernel.fsync(p, fd.value()), Err::Io);  // the log stays dead
-  EXPECT_EQ(mnt->log_stats().log_aborted, 1u);
+  EXPECT_EQ(aborts(), 1u);
 
-  // Power loss, then recovery on a copy of what survived: the header is
-  // empty, nothing replays, and the image is the pre-abort one.
+  // Writes fail with EROFS across the mutating syscalls...
+  auto w = kernel_.write(p, fd.value(), as_bytes("x"));
+  ASSERT_FALSE(w.ok());
+  EXPECT_EQ(w.error(), Err::RoFs);
+  EXPECT_FALSE(kernel_.open(p, "/mnt/new", kern::kOCreat).ok());
+  EXPECT_EQ(kernel_.mkdir(p, "/mnt/dir"), Err::RoFs);
+  EXPECT_EQ(kernel_.unlink(p, "/mnt/keep"), Err::RoFs);
+  EXPECT_EQ(kernel_.rename(p, "/mnt/keep", "/mnt/keep2"), Err::RoFs);
+
+  // ...and a second fsync keeps failing (the journal never recovers in
+  // this mount), but does NOT double-count the abort.
+  EXPECT_EQ(kernel_.fsync(p, fd.value()), Err::Io);
+  EXPECT_EQ(aborts(), 1u);
+
+  // Reads keep serving: the pre-abort committed file is intact.
+  std::vector<std::byte> buf(16);
+  auto r = kernel_.pread(p, keep.value(), buf, 0);
+  ASSERT_TRUE(r.ok());
+  EXPECT_EQ(to_string({buf.data(), r.value()}), "survives");
+
+  // Power loss, then recovery on a copy of what survived: nothing
+  // replays, and the image is the pre-abort one.
   sim::Rng rng(7);
-  dev.crash(/*survive_p=*/0.0, rng);
-  const std::vector<blk::BlockData> crashed = image_of(dev);
+  dev_->crash(/*survive_p=*/0.0, rng);
+  const std::vector<blk::BlockData> crashed = image_of(*dev_);
   EXPECT_TRUE(crashed == pre_abort);
 
   kern::Kernel fresh;
-  auto& copy = fresh.add_device("ssd0", params);
+  auto& copy = fresh.add_device("ssd0", params_);
   for (std::uint64_t b = 0; b < copy.nblocks(); ++b) {
     copy.write_untimed(b, crashed[b]);
   }
-  xv6c::register_xv6c(fresh, "xv6_vfs");
-  ASSERT_EQ(Err::Ok, fresh.mount("xv6_vfs", "ssd0", "/mnt"));
+  register_all_xv6(fresh);
+  ASSERT_EQ(Err::Ok, fresh.mount(fs(), "ssd0", "/mnt"));
   auto& q = fresh.proc();
   EXPECT_FALSE(fresh.open(q, "/mnt/doomed", kern::kORdOnly).ok());
-  auto r = fresh.open(q, "/mnt/keep", kern::kORdOnly);
-  ASSERT_TRUE(r.ok());
-  std::vector<std::byte> buf(16);
-  auto n = fresh.read(q, r.value(), buf);
+  auto k = fresh.open(q, "/mnt/keep", kern::kORdOnly);
+  ASSERT_TRUE(k.ok());
+  auto n = fresh.read(q, k.value(), buf);
   ASSERT_TRUE(n.ok());
   EXPECT_EQ(to_string({buf.data(), n.value()}), "survives");
-  EXPECT_EQ(Err::Ok, fresh.close(q, r.value()));
+  EXPECT_EQ(Err::Ok, fresh.close(q, k.value()));
   EXPECT_EQ(Err::Ok, fresh.umount("/mnt"));
-  EXPECT_TRUE(image_of(copy) == pre_abort);
 
-  EXPECT_EQ(Err::Ok, kernel.close(p, fd.value()));
-  EXPECT_EQ(Err::Ok, kernel.close(p, keep.value()));
-  EXPECT_EQ(Err::Ok, kernel.umount("/mnt"));
+  EXPECT_EQ(Err::Ok, kernel_.close(p, fd.value()));
+  EXPECT_EQ(Err::Ok, kernel_.close(p, keep.value()));
+  EXPECT_EQ(Err::Ok, kernel_.umount("/mnt"));
 }
+
+TEST_P(JournalAbort, ErrorsContinueKeepsServingWithoutRoFlip) {
+  mount("errors=continue");
+  auto& p = kernel_.proc();
+
+  dev_->inject_write_error(journal_payload_);
+  auto fd = kernel_.open(p, "/mnt/f", kern::kOCreat | kern::kORdWr);
+  ASSERT_TRUE(fd.ok());
+  ASSERT_TRUE(kernel_.write(p, fd.value(), as_bytes("data")).ok());
+  EXPECT_EQ(kernel_.fsync(p, fd.value()), Err::Io);
+
+  kern::SuperBlock* sb = kernel_.sb_at("/mnt");
+  EXPECT_EQ(sb->fs_error_seen(), Err::Io);
+  EXPECT_FALSE(sb->read_only());  // continue: no EROFS flip...
+  EXPECT_TRUE(kernel_.write(p, fd.value(), as_bytes("more")).ok());
+  // ...but the journal stays aborted: durability is gone for good.
+  EXPECT_EQ(kernel_.fsync(p, fd.value()), Err::Io);
+
+  EXPECT_EQ(Err::Ok, kernel_.close(p, fd.value()));
+  EXPECT_EQ(Err::Ok, kernel_.umount("/mnt"));
+}
+
+TEST_P(JournalAbort, AbortedJournalServesEveryLaterOpFromCache) {
+  // After an abort under errors=continue, every deployment answers the
+  // same way for as long as the mount lives: operations succeed in cache
+  // (their blocks stay journal-pinned, never reaching home locations), no
+  // commit is attempted again, and every fsync fails with EIO.
+  mount("errors=continue");
+  auto& p = kernel_.proc();
+
+  dev_->inject_write_error(journal_payload_);
+  auto fd = kernel_.open(p, "/mnt/f", kern::kOCreat | kern::kORdWr);
+  ASSERT_TRUE(fd.ok());
+  ASSERT_TRUE(kernel_.write(p, fd.value(), as_bytes("data")).ok());
+  ASSERT_EQ(kernel_.fsync(p, fd.value()), Err::Io);
+  ASSERT_EQ(aborts(), 1u);
+
+  // Enough mkdirs to pass every group-commit trigger many times over:
+  // the xv6 logs' op batch and log-space admission, and ext4's
+  // 2048-block threshold commit.
+  for (int i = 0; i < 3000; ++i) {
+    ASSERT_EQ(Err::Ok, kernel_.mkdir(p, "/mnt/d" + std::to_string(i)))
+        << "mkdir #" << i;
+  }
+  EXPECT_TRUE(kernel_.stat(p, "/mnt/d2999").ok());
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_EQ(kernel_.fsync(p, fd.value()), Err::Io);
+    EXPECT_EQ(aborts(), 1u);
+  }
+
+  EXPECT_EQ(Err::Ok, kernel_.close(p, fd.value()));
+  EXPECT_EQ(Err::Ok, kernel_.umount("/mnt"));
+}
+
+INSTANTIATE_TEST_SUITE_P(Journals, JournalAbort,
+                         ::testing::Values("xv6_bento", "xv6_vfs", "ext4j"),
+                         [](const auto& info) {
+                           return std::string(info.param);
+                         });
 
 TEST(TransientRetry, RetriedToSuccessLeavesNoResidualError) {
   sim::SimThread thread(0);

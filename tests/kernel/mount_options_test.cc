@@ -64,9 +64,7 @@ const Accepted kVocabulary[] = {
     {"errors=panic",
      [](const MountOptions& m) { return m.errors == ErrorsMode::Panic; }},
     {"noflusher", [](const MountOptions& m) { return m.noflusher; }},
-    {"max_log_batch=4",
-     [](const MountOptions& m) { return m.max_log_batch == 4u; }},
-    {"nogroup", [](const MountOptions& m) { return m.max_log_batch == 1u; }},
+    {"nogroup", [](const MountOptions& m) { return m.nogroup; }},
     {"nopipeline", [](const MountOptions& m) { return m.nopipeline; }},
     {"io_uring", [](const MountOptions& m) { return m.io_uring; }},
     {"extfuse", [](const MountOptions& m) { return m.extfuse; }},
@@ -78,7 +76,6 @@ const char* const kRejected[] = {
     "stripe=",         // missing value
     "stripe=0",        // out of range
     "chunk=0",
-    "max_log_batch=0",
     "trace=-1",
     "retries=99999999999999999999999",  // overflows
     "policy=xx",
@@ -87,6 +84,8 @@ const char* const kRejected[] = {
     "noplug",           // removed: request plugging is gone
     "lax_opts",         // removed: there is no opt-out of validation
     "log_blocks=64",    // removed: no workload tuned the block threshold
+    "max_log_batch=4",  // removed: no workload pooled other than 8 or 1
+    "max_log_batch=0",
 };
 
 class MountOptionsTest : public ::testing::Test {
@@ -135,20 +134,13 @@ TEST_F(MountOptionsTest, CombinedStringsSelectVolumesAndTuneTheLog) {
   EXPECT_FALSE(plain.value().striped() || plain.value().mirrored() ||
                plain.value().parity_volume());
 
-  // Journal fields override the caller's LogParams only where set; the
-  // last of max_log_batch=N / nogroup wins.
-  xv6::LogParams base;
-  base.max_log_batch = 16;
-  auto tuned = MountOptions::parse("nogroup,max_log_batch=4,nopipeline");
+  // The journal tokens set only their own flags.
+  EXPECT_TRUE(mo.value().nogroup);
+  EXPECT_FALSE(mo.value().nopipeline);
+  auto tuned = MountOptions::parse("nogroup,nopipeline");
   ASSERT_TRUE(tuned.ok());
-  const xv6::LogParams p = xv6::apply_mount_options(base, tuned.value());
-  EXPECT_EQ(p.max_log_batch, 4u);
-  EXPECT_FALSE(p.pipeline);
-  EXPECT_EQ(xv6::apply_mount_options(base, plain.value()).max_log_batch,
-            16u);  // kept
-  const xv6::LogParams q = xv6::apply_mount_options(base, mo.value());
-  EXPECT_EQ(q.max_log_batch, 1u);
-  EXPECT_TRUE(q.pipeline);
+  EXPECT_TRUE(tuned.value().nogroup && tuned.value().nopipeline);
+  EXPECT_FALSE(plain.value().nogroup || plain.value().nopipeline);
 }
 
 }  // namespace

@@ -71,7 +71,7 @@ TEST_F(SyscallTest, MountRejectsUnknownOptionTokens) {
   EXPECT_EQ(kernel_.umount("/m2"), Err::NoEnt);
   // Every known token (and combinations) still mounts.
   ASSERT_EQ(Err::Ok, kernel_.mount("xv6_bento", "ssd1", "/m2",
-                                   "rw,noflusher,max_log_batch=4"));
+                                   "rw,noflusher,nogroup"));
   ASSERT_EQ(Err::Ok, kernel_.umount("/m2"));
 }
 

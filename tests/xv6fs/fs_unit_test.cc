@@ -148,17 +148,17 @@ TEST_F(Xv6Rig, LogAbsorbsRepeatedBlocks) {
 }
 
 TEST_F(Xv6Rig, GroupCommitAbsorbsOpsUntilTheBatchFills) {
-  // Satellite (ISSUE 5): end_op no longer commits per closed op; up to
-  // max_log_batch ops pool into one transaction, and fsync still forces.
+  // end_op does not commit per closed op: up to kern::kGroupCommitOps ops
+  // pool into one transaction, and fsync still forces.
   const bento::Ino ino = create_file("group");
   // The create closed one op (still pooling); the three writes below stay
-  // well inside one max_log_batch window.
+  // well inside one group-commit batch.
   auto snap0 = fs().log_stats();
   std::vector<std::byte> chunk(256, std::byte{4});
   for (int i = 0; i < 3; ++i) {
     write_at(ino, static_cast<std::uint64_t>(i) * 256, chunk);
   }
-  // Three closed ops < max_log_batch (8): nothing committed yet.
+  // Three closed ops < kern::kGroupCommitOps (8): nothing committed yet.
   EXPECT_EQ(fs().log_stats().commits, snap0.commits);
   ASSERT_EQ(Err::Ok, fs().fsync(mount_->mkreq(), mount_->borrow(), ino, 0,
                                 false));
