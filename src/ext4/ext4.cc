@@ -60,7 +60,8 @@ Err Ext4Mount::j_commit(bool flush_device) {
   // Pipelined commit: every write of this commit (journal run, commit
   // record, checkpoint) rides async tickets. Media effects land at
   // submission in program order, so journal-area reuse and crash
-  // semantics are unchanged; only the completions stay outstanding.
+  // semantics are unchanged; only the completions stay outstanding,
+  // bounded by CommitPipeline::kDepth commits (oldest redeemed first).
   jpipeline_.reserve(wait);
   const sim::Nanos t0 = sim::now();
   if (!running_txn_.empty()) {
@@ -73,9 +74,6 @@ Err Ext4Mount::j_commit(bool flush_device) {
     for (const blk::Ticket& t : tickets) bc.wait(t);
     jpipeline_.drain(wait);
     return e;
-  };
-  auto release = [&bc](const std::vector<kern::BufferHead*>& bhs) {
-    for (auto* bh : bhs) bc.brelse(bh);
   };
   // Journal abort (jbd2_journal_abort, kern::RunningTxn::abort): a write
   // into the journal area failed on media. Its commit record is never
@@ -116,13 +114,13 @@ Err Ext4Mount::j_commit(bool flush_device) {
       for (std::size_t i = 0; i < n; ++i) {
         auto src = bc.bread(txn[written + i]);
         if (!src.ok()) {
-          release(jrun);
+          for (auto* bh : jrun) bc.brelse(bh);
           return fail(src.error());
         }
         auto dst = bc.getblk(super_.jstart + 1 + static_cast<std::uint32_t>(i));
         if (!dst.ok()) {
           bc.brelse(src.value());
-          release(jrun);
+          for (auto* bh : jrun) bc.brelse(bh);
           return fail(dst.error());
         }
         std::memcpy(dst.value()->bytes().data(), src.value()->bytes().data(),
@@ -132,12 +130,17 @@ Err Ext4Mount::j_commit(bool flush_device) {
         bc.brelse(src.value());
       }
       tickets.push_back(bc.sync_dirty_buffers_async(jrun));
-      release(jrun);
-      if (tickets.back().failed) return abort_journal(Err::Io);
+      if (tickets.back().failed) {
+        for (auto* bh : jrun) bc.brelse(bh);
+        return abort_journal(Err::Io);
+      }
       sb_->bdev().trace_event(blk::TraceEv::JLogWrite, jseq_, 0,
                               static_cast<std::uint32_t>(n + 1),
                               blk::TraceOp::Journal);
-      kern::record_stage(jstats_.jwrite_lat, t0, tickets.back().done);
+      if (tickets.back().done > 0) {
+        jstats_.jwrite_lat.record(tickets.back().done - t0);
+      }
+      for (auto* bh : jrun) bc.brelse(bh);
     }
     // Commit record: strictly ordered after the journal data on media
     // (media effects land at submission, in submission order); only the
@@ -149,17 +152,24 @@ Err Ext4Mount::j_commit(bool flush_device) {
     if (!cb.ok()) return fail(cb.error());
     std::memcpy(cb.value()->bytes().data(), &commit, sizeof(commit));
     bc.mark_dirty(cb.value());
-    kern::BufferHead* cbh = cb.value();
-    tickets.push_back(bc.sync_dirty_buffers_async(
-        std::span<kern::BufferHead* const>(&cbh, 1)));
-    bc.brelse(cbh);
-    // Failed commit record: the transaction never committed — abort
-    // BEFORE the checkpoint, or uncommitted state reaches home locations
-    // with no durable record protecting it.
-    if (tickets.back().failed) return abort_journal(Err::Io);
-    sb_->bdev().trace_event(blk::TraceEv::JCommitRecord, jseq_, 0, 1,
-                            blk::TraceOp::Journal);
-    kern::record_stage(jstats_.record_lat, t0, tickets.back().done);
+    {
+      kern::BufferHead* cbh = cb.value();
+      tickets.push_back(bc.sync_dirty_buffers_async(
+          std::span<kern::BufferHead* const>(&cbh, 1)));
+      // Failed commit record: the transaction never committed — abort
+      // BEFORE the checkpoint, or uncommitted state reaches home
+      // locations with no durable record protecting it.
+      if (tickets.back().failed) {
+        bc.brelse(cb.value());
+        return abort_journal(Err::Io);
+      }
+      sb_->bdev().trace_event(blk::TraceEv::JCommitRecord, jseq_, 0, 1,
+                              blk::TraceOp::Journal);
+      if (tickets.back().done > 0) {
+        jstats_.record_lat.record(tickets.back().done - t0);
+      }
+    }
+    bc.brelse(cb.value());
 
     // Checkpoint: write home locations (device write cache; durability
     // comes from the journal + the fsync-path flush). Scattered blocks,
@@ -170,18 +180,20 @@ Err Ext4Mount::j_commit(bool flush_device) {
       for (std::size_t i = 0; i < n; ++i) {
         auto bh = bc.bread(txn[written + i]);
         if (!bh.ok()) {
-          release(homes);
+          for (auto* h : homes) bc.brelse(h);
           return fail(bh.error());
         }
         bc.mark_dirty(bh.value());
         homes.push_back(bh.value());
       }
       tickets.push_back(bc.sync_dirty_buffers_async(homes));
-      release(homes);
       sb_->bdev().trace_event(blk::TraceEv::JCheckpoint, jseq_, 0,
                               static_cast<std::uint32_t>(n),
                               blk::TraceOp::Journal);
-      kern::record_stage(jstats_.checkpoint_lat, t0, tickets.back().done);
+      if (tickets.back().done > 0) {
+        jstats_.checkpoint_lat.record(tickets.back().done - t0);
+      }
+      for (auto* h : homes) bc.brelse(h);
     }
     jseq_ += 1;
     jstats_.commits += 1;
@@ -601,7 +613,7 @@ Err Ext4Mount::write_through_journal(kern::Inode& inode, std::uint64_t off,
   BSIM_TRY(iupdate(inode));
   op_seq_ += 1;
   // Stripe-aware clustering: align the threshold commit to whole stripe
-  // rows.
+  // rows so the checkpoint hands each member a full merged share.
   if (running_txn_.size() >= kern::stripe_aligned(
                                  kTxnCommitThreshold,
                                  sb_->bdev().stripe_width_blocks())) {

@@ -1,8 +1,7 @@
 // The journal core of the xv6 `Log` (src/xv6fs/log.*), ext4's jbd
 // (src/ext4/ext4.cc) and the C-kernel log (src/xv6fs_c/xv6c.cc): the
-// running transaction with its abort latch, the bounded commit pipeline,
-// the commit-stage latency convention and the stripe-aligned commit
-// threshold. Each file system keeps its
+// running transaction with its abort latch, the bounded commit pipeline
+// and the stripe-aligned commit threshold. Each file system keeps its
 // on-disk format, commit stages, recovery, locks, trace calls, stats and
 // fsync FLUSH-skip bookkeeping. Nothing here holds a kernel pointer, so
 // the capability-only Bento port shares it with the kernel file systems.
@@ -14,9 +13,6 @@
 #include <unordered_set>
 #include <utility>
 #include <vector>
-
-#include "sim/stats.h"
-#include "sim/time.h"
 
 namespace bsim::kern {
 
@@ -122,14 +118,6 @@ class CommitPipeline {
   std::deque<std::vector<Ticket>> inflight_;
   bool pipelined_;
 };
-
-/// One commit stage's latency: from commit entry `t0` to the completion
-/// `done` of the stage's ticket (0: no transfer to wait for, not sampled).
-/// Stages are measured in submission order, so their histograms nest.
-inline void record_stage(sim::LatencyHistogram& lat, sim::Nanos t0,
-                         sim::Nanos done) {
-  if (done > 0) lat.record(done - t0);
-}
 
 /// A commit threshold cut down to whole stripe rows of `width` blocks, so
 /// the checkpoint hands every member of a striped volume a full merged

@@ -14,13 +14,7 @@ using kern::Err;
 
 Err Log::init(SuperBlockCap& sb, const DiskSuperblock& dsb,
               Durability durability, const kern::MountOptions& mo) {
-  dsb_ = dsb;
-  durability_ = durability;
-  group_ = !mo.nogroup;
-  pipeline_ = kern::CommitPipeline<WriteTicket>(!mo.nopipeline);
-  txn_.clear();
-  outstanding_ = 0;
-  commits_since_flush_ = 0;
+  adopt({dsb, durability, !mo.nogroup, !mo.nopipeline, stats_});
 
   // Crash recovery: a non-empty header means a committed-but-uninstalled
   // transaction; replay it (synchronously — nothing to overlap with).
@@ -77,7 +71,8 @@ void Log::begin_op(SuperBlockCap& sb, std::uint32_t reserved) {
     }
   }
   // A fresh batch (nothing open, nothing pooled) opens a new transaction.
-  if (outstanding_ == 0 && txn_.empty() && txn_.ops() == 0) {
+  if (!txn_.aborted() && outstanding_ == 0 && txn_.empty() &&
+      txn_.ops() == 0) {
     txn_seq_ += 1;
     sb.trace_journal(blk::TraceEv::TxnOpen, txn_seq_, 0);
   }
@@ -163,6 +158,9 @@ Err Log::commit(SuperBlockCap& sb) {
   pipeline_.reserve(wait);
   const std::vector<std::uint32_t>& pending = txn_.blocks();
 
+  // Stage latencies are measured from here: each stage's histogram records
+  // commit-entry -> that stage's transfer completion (ticket done time),
+  // so the three nest like a waterfall.
   const sim::Nanos t0 = sim::now();
   sb.trace_journal(blk::TraceEv::TxnClose, txn_seq_,
                    static_cast<std::uint32_t>(pending.size()));
@@ -171,12 +169,6 @@ Err Log::commit(SuperBlockCap& sb) {
   auto fail = [&](Err e) {
     for (const WriteTicket& t : tickets) sb.wait(t);
     return e;
-  };
-  // Strict durability: a non-blocking FLUSH barrier after each stage.
-  auto barrier = [&] {
-    if (durability_ == Durability::Strict) {
-      tickets.push_back(sb.flush_all_async());
-    }
   };
   // Journal abort (kern::RunningTxn::abort): a journal write failed on
   // media. The commit record is never issued, so recovery finds an empty
@@ -212,9 +204,13 @@ Err Log::commit(SuperBlockCap& sb) {
     sb.trace_journal(blk::TraceEv::JLogWrite, txn_seq_,
                      static_cast<std::uint32_t>(pending.size()));
     if (tickets.back().ticket.failed) return abort_commit(Err::Io);
-    kern::record_stage(stats_.logwrite_lat, t0, tickets.back().ticket.done);
+    if (tickets.back().ticket.done > 0) {
+      stats_.logwrite_lat.record(tickets.back().ticket.done - t0);
+    }
   }
-  barrier();
+  if (durability_ == Durability::Strict) {
+    tickets.push_back(sb.flush_all_async());
+  }
 
   // 2. Commit point: write the header naming the logged blocks. Submitted
   //    after the log run (media order is submission order), completion
@@ -232,24 +228,36 @@ Err Log::commit(SuperBlockCap& sb) {
     // commit record would put uncommitted state on media unprotected.
     if (tickets.back().ticket.failed) return abort_commit(Err::Io);
     sb.trace_journal(blk::TraceEv::JCommitRecord, txn_seq_, 1);
-    kern::record_stage(stats_.record_lat, t0, tickets.back().ticket.done);
+    if (tickets.back().ticket.done > 0) {
+      stats_.record_lat.record(tickets.back().ticket.done - t0);
+    }
   }
-  barrier();
+  if (durability_ == Durability::Strict) {
+    tickets.push_back(sb.flush_all_async());
+  }
 
-  // 3+4. Install to home locations, then clear the header.
+  // 3+4. Install to home locations, then clear the header. In Strict
+  //      mode the FLUSH barrier between them is issued through the
+  //      non-blocking flush so the pipeline still overlaps its completion.
   {
     const Err e = install(sb, header, /*recovering=*/false, &tickets);
     if (e != Err::Ok) return fail(e);
     sb.trace_journal(blk::TraceEv::JCheckpoint, txn_seq_, header.n);
-    kern::record_stage(stats_.checkpoint_lat, t0, tickets.back().ticket.done);
+    if (tickets.back().ticket.done > 0) {
+      stats_.checkpoint_lat.record(tickets.back().ticket.done - t0);
+    }
   }
-  barrier();
+  if (durability_ == Durability::Strict) {
+    tickets.push_back(sb.flush_all_async());
+  }
   header = LogHeader{};
   {
     const Err e = write_header_async(sb, header, tickets);
     if (e != Err::Ok) return fail(e);
   }
-  barrier();
+  if (durability_ == Durability::Strict) {
+    tickets.push_back(sb.flush_all_async());
+  }
 
   stats_.commits += 1;
   stats_.blocks_logged += pending.size();
